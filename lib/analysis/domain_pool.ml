@@ -26,7 +26,14 @@ type t = {
 let run_protected pool job =
   try job () with _ -> Atomic.incr pool.failed
 
+(* True for the whole life of a worker domain of any pool, false on
+   every other domain (the main one, domains spawned elsewhere). *)
+let worker_key = Domain.DLS.new_key (fun () -> false)
+
+let on_worker () = Domain.DLS.get worker_key
+
 let worker_loop pool =
+  Domain.DLS.set worker_key true;
   let rec loop () =
     Mutex.lock pool.lock;
     while Queue.is_empty pool.queue && not pool.closing do

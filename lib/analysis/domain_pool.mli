@@ -50,6 +50,11 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     [Array.map], like {!map}. *)
 val map_weighted : t -> weight:('a -> int) -> ('a -> 'b) -> 'a array -> 'b array
 
+(** Whether the calling domain is a worker of some pool. Jobs
+    running there already hold one of the cores the outer pool was
+    sized for; a nested fan-out from them adds domains, not cores. *)
+val on_worker : unit -> bool
+
 (** The shared lazily-created pool (default size), joined automatically
     at process exit. *)
 val global : unit -> t

@@ -51,11 +51,16 @@ let internal_ramp_slew ~in_slew =
   let raw = Float.max 2.0 (0.15 *. in_slew) in
   Float.round (raw *. 4.) /. 4.
 
+(* Raised by a pass whose running worst tap slew has passed the caller's
+   [max_slew]; [screen] turns it into [None]. The default bound is
+   infinite, so passes without one never raise it. *)
+exception Slew_exceeded
+
 (* Chain one corner × source-transition pass over the stages. [solve] is
    indexed by the stage position so callers can attach per-stage cached
    state (fingerprints, factorisations) without recomputing it here. *)
-let propagate_with ~solve tree stages (corner : Tech.Corner.t)
-    source_transition =
+let propagate_with ?(max_slew = infinity) ~solve tree stages
+    (corner : Tech.Corner.t) source_transition =
   let n = Tree.size tree in
   let tech = Tree.tech tree in
   let latency = Array.make n nan in
@@ -111,14 +116,15 @@ let propagate_with ~solve tree stages (corner : Tech.Corner.t)
               out_tr.(id) <-
                 (if Tech.Composite.inverting b then flip tr else tr)
             | _ -> invalid_arg "Evaluator: buffer tap on non-buffer node"))
-        rc.Rcnet.taps)
+        rc.Rcnet.taps;
+      if !worst_slew > max_slew then raise Slew_exceeded)
     stages;
   { corner; transition = source_transition; latency; slew;
     worst_slew = !worst_slew; worst_slew_node = !worst_node }
 
-let propagate ?step ?mode ?fcache ?fps ?ws engine tree stages corner
-    source_transition =
-  propagate_with
+let propagate ?max_slew ?step ?mode ?fcache ?fps ?ws engine tree stages
+    corner source_transition =
+  propagate_with ?max_slew
     ~solve:(fun si rc ~r_drv ~s_drv ->
       let fp = Option.map (fun a -> a.(si)) fps in
       solve_stage ?step ?mode ?fcache ?fp ?ws engine rc ~r_drv ~s_drv)
@@ -209,14 +215,15 @@ let pstate_run st corner transition =
 
 (* Flat analogue of [propagate_with]: one sequential corner × transition
    pass over the stage pool. *)
-let propagate_pool ~solve tree arena pool (corner : Tech.Corner.t)
-    source_transition =
+let propagate_pool ?(max_slew = infinity) ~solve tree arena pool
+    (corner : Tech.Corner.t) source_transition =
   let tech = Tree.tech tree in
   let st = pstate_make tree source_transition in
   for si = 0 to pool.Rcflat.nstages - 1 do
     let driver, tr, r_drv, s_drv = stage_drive tech arena pool corner st si in
     let results = solve si ~r_drv ~s_drv in
-    pstate_apply arena pool corner st si ~driver ~tr results
+    pstate_apply arena pool corner st si ~driver ~tr results;
+    if st.p_worst > max_slew then raise Slew_exceeded
   done;
   pstate_run st corner source_transition
 
@@ -309,61 +316,86 @@ let summarize tree runs =
     stats;
   }
 
-let evaluate ?(engine = Spice) ?(flat = false) ?seg_len ?transient_step
-    ?transient_mode tree =
+(* One job per corner on the shared domain pool, Rise then Fall inside
+   it: [pass corner] sets up the state the corner's two passes share
+   (factorisation cache, the executing domain's workspace) and no mutable
+   state crosses jobs. Verdicts are folded in corner × transition order —
+   the first stopped or failed corner decides, exactly as if the passes
+   had run one after another — so the outcome never depends on
+   scheduling. A call made on a pool worker (a daemon request, a region
+   lane) runs its corners inline instead, stopping at the first corner
+   that decides: the outer pool already holds the cores, and a nested
+   fan-out would only add a domain competing with it, so the call's
+   wall time would hang on how the host schedules the two. *)
+let fan_out_corners tree pass =
+  let corner_job corner =
+    match
+      let run = pass corner in
+      let rise = run Rise in
+      [ rise; run Fall ]
+    with
+    | runs -> Ok (Some runs)
+    | exception Slew_exceeded -> Ok None
+    | exception e -> Error e
+  in
+  let corners = (Tree.tech tree).Tech.corners in
+  let outcomes =
+    if Domain_pool.on_worker () then Seq.map corner_job (List.to_seq corners)
+    else
+      Array.to_seq
+        (Domain_pool.map (Domain_pool.global ()) corner_job
+           (Array.of_list corners))
+  in
+  let rec fold acc outcomes =
+    match outcomes () with
+    | Seq.Nil -> Some (summarize tree (List.concat (List.rev acc)))
+    | Seq.Cons (Ok (Some runs), rest) -> fold (runs :: acc) rest
+    | Seq.Cons (Ok None, _) -> None
+    | Seq.Cons (Error e, _) -> raise e
+  in
+  fold [] outcomes
+
+let screen ?(engine = Spice) ?(flat = false) ?seg_len ?transient_step
+    ?transient_mode ~max_slew tree =
   Atomic.incr counter;
-  let tech = Tree.tech tree in
-  let corners = tech.Tech.corners in
   if flat && engine = Spice then begin
     (* Streaming path: one arena snapshot and one flat stage pool scoped
-       to this call; the corner × transition runs share a flat
-       factorisation cache and a workspace exactly like the boxed runs
-       share theirs, so cached factors stay bit-identical to recomputed
-       ones. *)
+       to this call, read-only while the corners march over it. A cached
+       factor is bit-identical to a recomputed one, so per-corner caches
+       change wall clock only. *)
     let arena = Arena.compile tree in
     let pool = Rcflat.compile ?seg_len arena in
-    let fcache = Transient.Flat.Fcache.create () in
-    let ws = Transient.domain_workspace () in
-    let solve si ~r_drv ~s_drv =
-      Transient.Flat.solve ?step:transient_step ?mode:transient_mode ~fcache
-        ~ws pool ~si ~r_drv ~s_drv
-    in
-    let runs =
-      List.concat_map
-        (fun corner ->
-          List.map
-            (fun tr -> propagate_pool ~solve tree arena pool corner tr)
-            [ Rise; Fall ])
-        corners
-    in
-    summarize tree runs
+    fan_out_corners tree (fun corner ->
+        let fcache = Transient.Flat.Fcache.create ()
+        and ws = Transient.domain_workspace () in
+        let solve si ~r_drv ~s_drv =
+          Transient.Flat.solve ?step:transient_step ?mode:transient_mode
+            ~fcache ~ws pool ~si ~r_drv ~s_drv
+        in
+        propagate_pool ~max_slew ~solve tree arena pool corner)
   end
   else begin
     let stages = Array.of_list (Rcnet.stages ?seg_len tree) in
-    (* Scoped to this call: one workspace and one factorisation cache let
-       the corner × transition runs share per-stage factorisations (and,
-       in the adaptive modes, the coarse-rate factors) without allocating
-       state arrays per stage. Numerics are unchanged — a cached factor is
-       bit-identical to a recomputed one. *)
-    let fcache, ws, fps =
-      match engine with
-      | Spice ->
-        ( Some (Transient.Fcache.create ()),
-          Some (Transient.domain_workspace ()),
-          Some (Array.map (fun st -> Rcnet.fingerprint st.Rcnet.rc) stages) )
-      | Arnoldi | Elmore_model -> (None, None, None)
-    in
-    let runs =
-      List.concat_map
-        (fun corner ->
-          List.map
-            (propagate ?step:transient_step ?mode:transient_mode ?fcache ?fps
-               ?ws engine tree stages corner)
-            [ Rise; Fall ])
-        corners
-    in
-    summarize tree runs
+    match engine with
+    | Spice ->
+      (* One factorisation cache per corner lets its two passes share
+         per-stage factorisations (and, in the adaptive modes, the
+         coarse-rate factors) without allocating state arrays per
+         stage. *)
+      let fps = Array.map (fun st -> Rcnet.fingerprint st.Rcnet.rc) stages in
+      fan_out_corners tree (fun corner ->
+          propagate ~max_slew ?step:transient_step ?mode:transient_mode
+            ~fcache:(Transient.Fcache.create ()) ~fps
+            ~ws:(Transient.domain_workspace ())
+            engine tree stages corner)
+    | Arnoldi | Elmore_model ->
+      fan_out_corners tree (propagate ~max_slew engine tree stages)
   end
+
+let evaluate ?engine ?flat ?seg_len ?transient_step ?transient_mode tree =
+  Option.get
+    (screen ?engine ?flat ?seg_len ?transient_step ?transient_mode
+       ~max_slew:infinity tree)
 
 let nominal_run t tr =
   let nominal = (List.hd t.runs).corner in

@@ -59,10 +59,40 @@ type t = {
     (see {!Transient.Flat}). Cache keys and adaptive rate choices are
     bit-identical to the boxed path; crossing times agree to
     sub-femtosecond (~1e-6 ps at 100K-node stages). Ignored by the
-    other engines. *)
+    other engines.
+
+    The corners fan out over {!Domain_pool.global}: one job per corner
+    runs the Rise then the Fall pass, sharing that corner's
+    factorisation cache and the executing domain's workspace, and no
+    mutable state crosses jobs. Runs are assembled in corner ×
+    transition order and a cached factor is bit-identical to a
+    recomputed one, so results do not depend on the pool size or on
+    scheduling. A call made on a worker domain of any pool
+    ({!Domain_pool.on_worker}) runs its corners one after another on
+    that domain instead: the outer pool already holds the cores.
+    [evaluate] is [screen ~max_slew:infinity]. *)
 val evaluate :
   ?engine:engine -> ?flat:bool -> ?seg_len:int -> ?transient_step:float ->
   ?transient_mode:Transient.mode -> Ctree.Tree.t -> t
+
+(** [screen ~max_slew tree] — {!evaluate} with an early exit for
+    accept/reject sweeps. Every pass checks its running worst tap slew
+    after each stage and stops as soon as it exceeds [max_slew]; the
+    call then returns [None]. So [None] exactly when the full
+    evaluation's largest [worst_slew] over all runs exceeds [max_slew],
+    and otherwise [Some] of exactly what {!evaluate} returns. Counts as
+    one evaluator run either way.
+
+    A pass stopped early never solves its later stages, so it cannot
+    raise {!Numerics.Numerical_failure} from them: such a tree is
+    rejected ([None]), not crashed. Stops and failures are resolved in
+    corner × transition order, as if the passes ran one after another:
+    once an earlier corner has stopped, a later corner's failure is not
+    reported. *)
+val screen :
+  ?engine:engine -> ?flat:bool -> ?seg_len:int -> ?transient_step:float ->
+  ?transient_mode:Transient.mode -> max_slew:float -> Ctree.Tree.t ->
+  t option
 
 (** The nominal-corner run for a source transition. *)
 val nominal_run : t -> transition -> run

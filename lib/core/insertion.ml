@@ -27,9 +27,16 @@ let candidates config tech =
 let run ?(obstacles = []) config tree =
   let tech = Tree.tech tree in
   let budget = (1. -. config.Config.gamma) *. tech.Tech.cap_limit in
-  let evaluate t =
-    Evaluator.evaluate ~engine:config.Config.engine
-      ~seg_len:config.Config.seg_len t
+  (* Accept only trees with every tap inside both the slew limit and the
+     (1 − slew_margin) headroom; the screen stops a candidate's passes at
+     the first tap beyond this bound. *)
+  let max_slew =
+    Float.min tech.Tech.slew_limit
+      ((1. -. config.Config.slew_margin) *. tech.Tech.slew_limit)
+  in
+  let screen t =
+    Evaluator.screen ~engine:config.Config.engine
+      ~seg_len:config.Config.seg_len ~max_slew t
   in
   let forbidden =
     match obstacles with
@@ -40,6 +47,11 @@ let run ?(obstacles = []) config tree =
   in
   let tried = ref 0 in
   let try_config buf =
+    let slew_free_cap =
+      Float.min
+        (Route.Slewcap.lumped ~tech ~buf ())
+        (Route.Slewcap.wire_aware ~tech ~buf ())
+    in
     (* Obstacle repair is configuration-dependent: the slew-free
        capacitance that decides which subtrees need contour detours
        belongs to the composite being tried (Fig. 1's feedback between
@@ -48,17 +60,14 @@ let run ?(obstacles = []) config tree =
       match obstacles with
       | [] -> (tree, None)
       | _ ->
-        let drivable_cap =
-          Float.min
-            (Route.Slewcap.lumped ~tech ~buf ())
-            (Route.Slewcap.wire_aware ~tech ~buf ())
+        let repaired, report =
+          Route.Repair.run tree ~obstacles ~drivable_cap:slew_free_cap
         in
-        let repaired, report = Route.Repair.run tree ~obstacles ~drivable_cap in
         (repaired, Some report)
     in
     (* Adaptive ceiling: shrink while the accurate evaluation still sees
-       slew violations (the Elmore-level ceiling is optimistic on long
-       resistive wires). *)
+       slew beyond the bound (the Elmore-level ceiling is optimistic on
+       long resistive wires). *)
     let rec attempt ceiling retries =
       incr tried;
       match
@@ -67,29 +76,15 @@ let run ?(obstacles = []) config tree =
       with
       | exception Buffering.Fast_vg.Infeasible _ -> None
       | buffered ->
-        let ev = evaluate buffered in
-        let worst =
-          List.fold_left
-            (fun acc (r : Evaluator.run) -> Float.max acc r.Evaluator.worst_slew)
-            0. ev.Evaluator.runs
-        in
-        let headroom_ok =
-          worst
-          <= (1. -. config.Config.slew_margin) *. tech.Tech.slew_limit
-        in
-        if ev.Evaluator.slew_violations = 0 && headroom_ok then
+        (match screen buffered with
+        | Some ev ->
           if ev.Evaluator.stats.Ctree.Stats.total_cap <= budget then
             Some (buffered, ceiling, ev)
           else None (* too much capacitance: configuration too strong *)
-        else if retries > 0 then attempt (ceiling *. 0.7) (retries - 1)
-        else None
+        | None ->
+          if retries > 0 then attempt (ceiling *. 0.7) (retries - 1) else None)
     in
-    let seed_ceiling =
-      Float.min
-        (Route.Slewcap.lumped ~tech ~buf ())
-        (Route.Slewcap.wire_aware ~tech ~buf ())
-    in
-    match attempt seed_ceiling 8 with
+    match attempt slew_free_cap 8 with
     | Some (buffered, ceiling, ev) -> Some (buffered, ceiling, ev, repair)
     | None -> None
   in

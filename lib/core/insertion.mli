@@ -7,7 +7,18 @@
     for the downstream accurate optimizations. The per-configuration
     capacitance ceiling starts at the slew-free capacitance and shrinks
     adaptively when the accurate evaluation still reports slew
-    violations. *)
+    violations.
+
+    The verdict rule, per candidate tree: with
+    [max_slew = min slew_limit ((1 − slew_margin) · slew_limit)], a
+    candidate whose largest tap slew over every corner and transition
+    exceeds [max_slew] is rejected (ceiling × 0.7 and retry, up to 8
+    times, then the next configuration); otherwise it is accepted if its
+    total capacitance is at most [(1 − gamma) · cap_limit], else the
+    configuration is abandoned. Candidates are evaluated with
+    {!Analysis.Evaluator.screen}, so a rejected candidate stops at the
+    first stage whose taps pass [max_slew] instead of paying a full
+    evaluation; each candidate still counts as one evaluator run. *)
 
 type result = {
   tree : Ctree.Tree.t;
