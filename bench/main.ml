@@ -14,12 +14,12 @@ module Ev = Analysis.Evaluator
 let full = Sys.getenv_opt "CONTANGO_BENCH_FULL" <> None
 let quick = Sys.getenv_opt "CONTANGO_BENCH_QUICK" <> None
 
-(* CONTANGO_BENCH_EVAL=1: run only the evaluator-kernel benchmark and the
-   incremental-vs-seed flow comparison (writes evaluator_bench.json). *)
+(* CONTANGO_BENCH_EVAL=1: run only the transient and evaluator-kernel
+   benchmarks (writes evaluator_bench.json). *)
 let eval_only = Sys.getenv_opt "CONTANGO_BENCH_EVAL" <> None
 
 (* CONTANGO_BENCH_PASSES=1: run only the pass-level speculation benchmark
-   (legacy copy-based loop vs journaled speculative search; writes
+   (journaled speculative search at widths 1 and 4; writes
    pass_bench.json). *)
 let passes_only = Sys.getenv_opt "CONTANGO_BENCH_PASSES" <> None
 
@@ -478,73 +478,11 @@ let evaluator_bench () =
           ])
       sizes
   in
-  (* Full-flow comparison on the 2K-sink benchmark: seed evaluator (no
-     session) vs incremental session. Results must be identical — only
-     wall-clock may differ. *)
-  section "Flow comparison — 2K sinks, seed evaluator vs incremental session";
-  let flow_n = if quick then 1_000 else 2_000 in
-  let b = Suite.Gen_ti.generate flow_n in
-  let run_flow incremental =
-    let config = { config with Core.Config.incremental } in
-    Core.Flow.run ~config ~tech:b.Suite.Format_io.tech
-      ~source:b.Suite.Format_io.source b.Suite.Format_io.sinks
-  in
-  Printf.printf "  running ti%d with the seed evaluator...\n%!" flow_n;
-  let seed_run = run_flow false in
-  Printf.printf "    %.1f s, skew %.3f ps, %d evals\n%!"
-    seed_run.Core.Flow.seconds seed_run.Core.Flow.final.Ev.skew
-    seed_run.Core.Flow.eval_runs;
-  Printf.printf "  running ti%d with the incremental session...\n%!" flow_n;
-  let inc_run = run_flow true in
-  (* Trace counters are per-step deltas; session totals are their sum. *)
-  let sum f =
-    List.fold_left (fun acc e -> acc + f e) 0 inc_run.Core.Flow.trace
-  in
-  let cache_hits = sum (fun e -> e.Core.Flow.cache_hits) in
-  let cache_misses = sum (fun e -> e.Core.Flow.cache_misses) in
-  let kernel_solves = sum (fun e -> e.Core.Flow.kernel_solves) in
-  let kernel_saved = sum (fun e -> e.Core.Flow.kernel_saved) in
-  let kernel_truncations = sum (fun e -> e.Core.Flow.kernel_truncations) in
-  Printf.printf
-    "    %.1f s, skew %.3f ps, %d evals, cache %d hits / %d misses\n%!"
-    inc_run.Core.Flow.seconds inc_run.Core.Flow.final.Ev.skew
-    inc_run.Core.Flow.eval_runs cache_hits cache_misses;
-  List.iter2
-    (fun (s : Core.Flow.trace_entry) (i : Core.Flow.trace_entry) ->
-      Printf.printf "      %-8s seed %5.2f s | incremental %5.2f s\n"
-        (Core.Flow.step_name i.Core.Flow.step) s.Core.Flow.step_seconds
-        i.Core.Flow.step_seconds)
-    seed_run.Core.Flow.trace inc_run.Core.Flow.trace;
-  let skew_delta =
-    Float.abs
-      (seed_run.Core.Flow.final.Ev.skew -. inc_run.Core.Flow.final.Ev.skew)
-  in
-  let speedup = seed_run.Core.Flow.seconds /. inc_run.Core.Flow.seconds in
-  Printf.printf "  flow speedup %.2fx, |skew delta| = %.3g ps%s\n" speedup
-    skew_delta
-    (if skew_delta > 1e-9 then "  ** RESULTS DIVERGED **" else "");
   let json =
     Obj
       [
         ("transient_kernel", List transient_rows);
         ("kernels", List kernel_rows);
-        ("flow",
-         Obj
-           [
-             ("sinks", Num (float_of_int flow_n));
-             ("seed_seconds", Num seed_run.Core.Flow.seconds);
-             ("incremental_seconds", Num inc_run.Core.Flow.seconds);
-             ("speedup", Num speedup);
-             ("skew_delta_ps", Num skew_delta);
-             ("seed_skew_ps", Num seed_run.Core.Flow.final.Ev.skew);
-             ("incremental_skew_ps", Num inc_run.Core.Flow.final.Ev.skew);
-             ("eval_runs", Num (float_of_int inc_run.Core.Flow.eval_runs));
-             ("cache_hits", Num (float_of_int cache_hits));
-             ("cache_misses", Num (float_of_int cache_misses));
-             ("kernel_solves", Num (float_of_int kernel_solves));
-             ("kernel_saved", Num (float_of_int kernel_saved));
-             ("kernel_truncations", Num (float_of_int kernel_truncations));
-           ]);
       ]
   in
   let path = Filename.concat out_dir "evaluator_bench.json" in
@@ -943,13 +881,12 @@ let kernels () =
 (* Pass-level speculation benchmark (CONTANGO_BENCH_PASSES=1)          *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-pass wall-clock, IVC attempts and accepts for the legacy
-   copy-based attempt loop (speculation = -1, the PR 3 baseline) against
-   the journaled speculative search at widths 1 and 4, on the 1000-sink
-   TI instance. Also records the width-determinism check — widths 1 and 4
-   must produce bit-identical trees and final skew/CLR — and the post-ZST
-   speedup ratios (sum of step_seconds over every step after INITIAL).
-   Writes bench_out/pass_bench.json. *)
+(* Per-pass wall-clock, IVC attempts and accepts for the journaled
+   speculative search at widths 1 and 4, on the 1000-sink TI instance.
+   Also records the width-determinism check — widths 1 and 4 must produce
+   bit-identical trees and final skew/CLR — and the post-ZST speedup of
+   width 4 over width 1 (sum of step_seconds over every step after
+   INITIAL). Writes bench_out/pass_bench.json. *)
 let pass_bench () =
   section "Pass-level speculation benchmark — ti1000";
   let open Suite.Report.Json in
@@ -1002,37 +939,32 @@ let pass_bench () =
               r.Core.Flow.trace));
       ]
   in
-  let legacy = run "legacy copy-based baseline" (-1) in
   let serial = run "journaled serial" 1 in
   let wide = run "journaled width 4" 4 in
-  let rl, _ = legacy and r1, _ = serial and r4, _ = wide in
+  let r1, _ = serial and r4, _ = wide in
   let deterministic =
     Ctree.Tree.digest r1.Core.Flow.tree = Ctree.Tree.digest r4.Core.Flow.tree
     && r1.Core.Flow.final.Ev.skew = r4.Core.Flow.final.Ev.skew
     && r1.Core.Flow.final.Ev.clr = r4.Core.Flow.final.Ev.clr
   in
-  let speedup r = post_zst rl /. post_zst r in
+  let speedup = post_zst r1 /. post_zst r4 in
   let cores = Domain.recommended_domain_count () in
   Printf.printf
-    "\n  post-ZST: legacy %.2f s | width 1 %.2f s (%.2fx) | width 4 %.2f s \
-     (%.2fx)\n\
+    "\n  post-ZST: width 1 %.2f s | width 4 %.2f s (%.2fx)\n\
     \  width 4 = width 1 (tree digest, skew, CLR): %b   (cores: %d)\n"
-    (post_zst rl) (post_zst r1) (speedup r1) (post_zst r4) (speedup r4)
-    deterministic cores;
-  let header = [ "step"; "legacy s"; "w1 s"; "w4 s"; "att w1"; "acc w1" ] in
+    (post_zst r1) (post_zst r4) speedup deterministic cores;
+  let header = [ "step"; "w1 s"; "w4 s"; "att w1"; "acc w1" ] in
   let rows =
     List.map2
-      (fun (el : Core.Flow.trace_entry) ((e1 : Core.Flow.trace_entry), e4) ->
+      (fun (e1 : Core.Flow.trace_entry) (e4 : Core.Flow.trace_entry) ->
         [
-          Core.Flow.step_name el.Core.Flow.step;
-          fmt el.Core.Flow.step_seconds;
+          Core.Flow.step_name e1.Core.Flow.step;
           fmt e1.Core.Flow.step_seconds;
-          fmt (e4 : Core.Flow.trace_entry).Core.Flow.step_seconds;
+          fmt e4.Core.Flow.step_seconds;
           string_of_int e1.Core.Flow.attempts;
           string_of_int e1.Core.Flow.accepts;
         ])
-      rl.Core.Flow.trace
-      (List.combine r1.Core.Flow.trace r4.Core.Flow.trace)
+      r1.Core.Flow.trace r4.Core.Flow.trace
   in
   print_string (Suite.Report.table ~title:"" ~header rows);
   let json =
@@ -1042,13 +974,8 @@ let pass_bench () =
         ("cores", Num (float_of_int cores));
         ("modes",
          List
-           [
-             mode_json "legacy" (-1) legacy;
-             mode_json "width1" 1 serial;
-             mode_json "width4" 4 wide;
-           ]);
-        ("post_zst_speedup_width1", Num (speedup r1));
-        ("post_zst_speedup_width4", Num (speedup r4));
+           [ mode_json "width1" 1 serial; mode_json "width4" 4 wide ]);
+        ("post_zst_speedup_width4", Num speedup);
         ("deterministic_across_widths", Bool deterministic);
       ]
   in

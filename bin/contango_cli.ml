@@ -106,14 +106,24 @@ let seg_len_arg =
                  are cut into lumped RC segments of at most this length \
                  for evaluation. Larger values trade accuracy for speed.")
 
+(* Speculation widths are N >= 0; a negative value is a usage error. *)
+let width_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a width N >= 0, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let speculate_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some width_conv) None
        & info [ "speculate" ] ~docv:"N"
-           ~doc:"Speculative candidate-search width for the IVC loops: N>0 \
-                 parallel lanes (1 = serial journaled search), 0 picks a \
-                 width from the core count (default), -1 restores the \
-                 legacy copy-based serial loop. Results are identical for \
-                 every N >= 0; only wall-clock changes.")
+           ~doc:"Speculative candidate-search width for the IVC loops, \
+                 N >= 0: N > 0 parallel lanes (1 = serial journaled \
+                 search), 0 picks a width from the core count (default). \
+                 Results are identical for every N; only wall-clock \
+                 changes.")
 
 let surrogate_arg =
   Arg.(value & flag

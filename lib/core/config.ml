@@ -20,7 +20,6 @@ type t = {
   multicorner_slacks : bool;
   stage_balancing : bool;
   elmore_prebalance : bool;
-  incremental : bool;
   speculation : int;
   probe_count : int;
   size_probe_min_len : int;
@@ -67,7 +66,6 @@ let default =
     multicorner_slacks = true;
     stage_balancing = true;
     elmore_prebalance = true;
-    incremental = true;
     speculation = 0;
     probe_count = 5;
     size_probe_min_len = 20_000;
@@ -99,5 +97,6 @@ let scalability =
 
 let speculation_width t =
   if t.speculation > 0 then t.speculation
-  else if t.speculation < 0 then 1
-  else max 1 (min 8 (Domain.recommended_domain_count () - 1))
+  else if t.speculation = 0 then
+    max 1 (min 8 (Domain.recommended_domain_count () - 1))
+  else invalid_arg "Config.speculation_width: negative speculation"

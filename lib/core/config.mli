@@ -68,21 +68,14 @@ type t = {
       (** run a cheap Elmore-engine snaking equalisation before the first
           accurate evaluation (§III-A: simple analytical models first);
           disable only for ablation studies *)
-  incremental : bool;
-      (** let {!Flow} drive all optimization steps through one
-          {!Analysis.Evaluator.Incremental} session instead of from-scratch
-          evaluations; results are identical, only wall-clock changes *)
   speculation : int;
-      (** candidate-search width for {!Ivc.speculate}: [n > 0] uses [n]
-          parallel lanes ([1] = serial journaled search on the main
-          tree), [0] (the default) picks a width from the machine's core
-          count, and [-1] restores the legacy copy-based serial attempt
-          loop (full-tree snapshot per attempt, sequential scale ladder)
-          — kept as the benchmark baseline. The final tree and
-          evaluation are bit-identical for every value [>= 0]; width
-          changes only wall-clock time and how many losing ladder rungs
-          get (discarded) evaluations, while [-1] changes the whole
-          evaluation schedule *)
+      (** candidate-search width for {!Ivc.speculate}, [N >= 0]: [N > 0]
+          uses [N] parallel lanes ([1] = serial journaled search on the
+          main tree) and [0] (the default) picks a width from the
+          machine's core count. The final tree and evaluation are
+          bit-identical for every value; width changes only wall-clock
+          time and how many losing ladder rungs get (discarded)
+          evaluations. Negative values are rejected *)
   probe_count : int;
       (** waveform probes used by the wire-sizing/snaking/bottom-level
           correction estimators ({!Wiresizing.estimate_tws},
@@ -95,8 +88,9 @@ type t = {
       (** how many times {!Flow} re-runs a failed stage before giving the
           failure to the caller. Each retry rolls the tree back to the
           last verified checkpoint and climbs the degraded-mode ladder
-          (speculation off → fixed-mode halved-step serial evaluation);
-          after a stage succeeds the normal configuration is restored.
+          (serial fixed-mode marching → additionally a halved step on
+          the boxed kernel); after a stage succeeds the normal
+          configuration is restored.
           [0] disables stage retry entirely (failures propagate) *)
   regions : int;
       (** how many geometric regions {!Flow.run_regional} partitions the
@@ -176,6 +170,7 @@ val default : t
 val scalability : t
 
 (** Effective lane count for {!t.speculation}: the value itself when
-    positive, 1 for the legacy [-1] mode, and a core-count heuristic
-    (cores − 1, clamped to [1, 8]) for the [0] auto setting. *)
+    positive and a core-count heuristic (cores − 1, clamped to [1, 8])
+    for the [0] auto setting.
+    @raise Invalid_argument when [speculation] is negative. *)
 val speculation_width : t -> int

@@ -108,15 +108,6 @@ let session_hooks s =
       (fun ~edits ~new_revision ->
         Evaluator.Incremental.note_edits s ~edits ~new_revision) }
 
-let plain_hooks config =
-  { Speculate.eval =
-      (fun ?edits:_ t ->
-        Evaluator.evaluate ~engine:config.Config.engine
-          ~flat:config.Config.flat ~seg_len:config.Config.seg_len
-          ~transient_step:config.Config.transient_step
-          ~transient_mode:config.Config.transient_mode t);
-    note = (fun ~edits:_ ~new_revision:_ -> ()) }
-
 (* ------------------------------------------------------------------ *)
 (* Verified on-disk checkpoints.
 
@@ -137,46 +128,7 @@ module Checkpoint = struct
     ck_metas : stage_meta list;
   }
 
-  (* Same percent-escaping as the tree serializer: names stay a single
-     space-free token. *)
-  let escape s =
-    if s = "" then "%empty%"
-    else begin
-      let buf = Buffer.create (String.length s) in
-      String.iter
-        (fun c ->
-          match c with
-          | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' | '~' ->
-            Buffer.add_char buf c
-          | c -> Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
-        s;
-      Buffer.contents buf
-    end
-
   exception Parse of string
-
-  let unescape s =
-    if s = "%empty%" then ""
-    else begin
-      let buf = Buffer.create (String.length s) in
-      let n = String.length s in
-      let i = ref 0 in
-      while !i < n do
-        if s.[!i] = '%' then begin
-          if !i + 2 >= n then raise (Parse ("truncated escape in " ^ s));
-          (match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
-          | Some code when code >= 0 && code < 256 ->
-            Buffer.add_char buf (Char.chr code)
-          | _ -> raise (Parse ("bad escape in " ^ s)));
-          i := !i + 3
-        end
-        else begin
-          Buffer.add_char buf s.[!i];
-          incr i
-        end
-      done;
-      Buffer.contents buf
-    end
 
   let path ~dir step = Filename.concat dir (step_name step ^ ".ckpt")
 
@@ -185,12 +137,7 @@ module Checkpoint = struct
     let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
     pf "contango-checkpoint 1\n";
     pf "step %s\n" (step_name step);
-    let d = buf.Tech.Composite.base in
-    pf "buf %d %s %h %h %h %h %h %h %d\n" buf.Tech.Composite.count
-      (escape d.Tech.Device.name) d.Tech.Device.c_in d.Tech.Device.c_out
-      d.Tech.Device.r_up d.Tech.Device.r_down d.Tech.Device.d_intrinsic
-      d.Tech.Device.slew_coeff
-      (if d.Tech.Device.inverting then 1 else 0);
+    pf "buf %s\n" (Tree.composite_to_tokens buf);
     pf "polarity %d %d\n" polarity.Polarity.inverted_before
       polarity.Polarity.added;
     (match repair with
@@ -269,31 +216,10 @@ module Checkpoint = struct
             match step_of_name name with
             | Some s -> step := Some s
             | None -> raise (Parse ("unknown step " ^ name)))
-          | [ "buf"; count; name; cin; cout; rup; rdown; dint; slew; inv ]
-            ->
-            let name = unescape name in
-            let c_in = float_ cin and c_out = float_ cout in
-            let r_up = float_ rup and r_down = float_ rdown in
-            let d_intrinsic = float_ dint and slew_coeff = float_ slew in
-            let inverting = flag inv in
-            let matches (d : Tech.Device.t) =
-              d.Tech.Device.name = name
-              && d.Tech.Device.c_in = c_in
-              && d.Tech.Device.c_out = c_out
-              && d.Tech.Device.r_up = r_up
-              && d.Tech.Device.r_down = r_down
-              && d.Tech.Device.d_intrinsic = d_intrinsic
-              && d.Tech.Device.slew_coeff = slew_coeff
-              && d.Tech.Device.inverting = inverting
-            in
-            let dev =
-              match List.find_opt matches tech.Tech.devices with
-              | Some d -> d
-              | None ->
-                Tech.Device.make ~name ~c_in ~c_out ~r_up ~r_down
-                  ~d_intrinsic ~slew_coeff ~inverting ()
-            in
-            buf := Some (Tech.Composite.make dev (int_ count))
+          | "buf" :: tokens -> (
+            match Tree.composite_of_tokens ~tech tokens with
+            | Ok b -> buf := Some b
+            | Error e -> raise (Parse ("buf line: " ^ e)))
           | [ "polarity"; before; added ] ->
             polarity :=
               Some
@@ -381,13 +307,177 @@ let () =
         (Printf.sprintf "Invariant_violation(%s)" (String.concat "; " errs))
     | _ -> None)
 
+let meta_of step (ev : Evaluator.t) =
+  { m_step = step; m_skew = ev.Evaluator.skew; m_clr = ev.Evaluator.clr;
+    m_t_max = ev.Evaluator.t_max;
+    m_slew_waived = ev.Evaluator.slew_violations > 0;
+    m_cap_waived = not ev.Evaluator.cap_ok }
+
+(* An incremental session under [c]'s evaluation numerics. *)
+let session ?parallel ?store (c : Config.t) tree =
+  Evaluator.Incremental.create ~engine:c.Config.engine ~flat:c.Config.flat
+    ~seg_len:c.Config.seg_len ?parallel
+    ~transient_step:c.Config.transient_step
+    ~transient_mode:c.Config.transient_mode ?store tree
+
+(* ------------------------------------------------------------------ *)
+(* Per-run step recorder, shared by [run] and [run_regional]: the
+   cumulative baselines, the trace and incident lists, the streaming
+   callbacks, stage checkpoints and the deadline check.
+
+   Every counter in a trace row is a per-step delta against the previous
+   row, or against [mark] where a driver's steps begin (work before that
+   belongs to no step). [eval_runs] and [seconds] stay cumulative from
+   the recorder's creation, as documented. *)
+
+type recorder = {
+  t0 : float;
+  runs0 : int;
+  on_step : (trace_entry -> unit) option;
+  on_incident : (incident -> unit) option;
+  mutable trace : trace_entry list;  (* newest first *)
+  mutable incidents : incident list;  (* newest first *)
+  mutable cache_stats : unit -> int * int;
+      (* the attached session's cumulative (hits, misses) *)
+  mutable last_t : float;
+  mutable last_kc : Analysis.Transient.counters;
+  mutable last_att : int;
+  mutable last_acc : int;
+  mutable last_hits : int;
+  mutable last_misses : int;
+}
+
+let recorder ?on_step ?on_incident () =
+  let t0 = Monoclock.now () in
+  { t0; runs0 = Evaluator.eval_count (); on_step; on_incident; trace = [];
+    incidents = []; cache_stats = (fun () -> (0, 0)); last_t = t0;
+    last_kc = Analysis.Transient.counters (); last_att = Ivc.attempts ();
+    last_acc = Ivc.accepts (); last_hits = 0; last_misses = 0 }
+
+(* The next row's deltas start here: work before a driver's first step
+   (tree construction, the region flows) is pre-step time. *)
+let mark rc =
+  rc.last_t <- Monoclock.now ();
+  rc.last_kc <- Analysis.Transient.counters ();
+  rc.last_att <- Ivc.attempts ();
+  rc.last_acc <- Ivc.accepts ()
+
+(* Rows report [s]'s cache traffic from now on; a session rebuilt for a
+   retry counts from zero. *)
+let attach rc s =
+  rc.cache_stats <-
+    (fun () ->
+      let st = Evaluator.Incremental.stats s in
+      (st.Evaluator.hits, st.Evaluator.misses));
+  rc.last_hits <- 0;
+  rc.last_misses <- 0
+
+let emit rc entry =
+  rc.trace <- entry :: rc.trace;
+  Option.iter (fun f -> f entry) rc.on_step
+
+(* [extra_attempts]/[extra_accepts] count moves a driver made outside
+   {!Ivc} (the regional polish rounds). *)
+let record ?(extra_attempts = 0) ?(extra_accepts = 0) rc step
+    (ev : Evaluator.t) =
+  let module T = Analysis.Transient in
+  let now = Monoclock.now () in
+  let hits, misses = rc.cache_stats () in
+  let kc = T.counters () in
+  let att = Ivc.attempts () and acc = Ivc.accepts () in
+  let entry =
+    { step; skew = ev.Evaluator.skew; clr = ev.Evaluator.clr;
+      t_max = ev.Evaluator.t_max;
+      eval_runs = Evaluator.eval_count () - rc.runs0;
+      seconds = now -. rc.t0;
+      cache_hits = hits - rc.last_hits;
+      cache_misses = misses - rc.last_misses;
+      step_seconds = now -. rc.last_t;
+      kernel_solves = kc.T.total_solves - rc.last_kc.T.total_solves;
+      kernel_saved = kc.T.total_saved - rc.last_kc.T.total_saved;
+      kernel_truncations =
+        kc.T.total_truncations - rc.last_kc.T.total_truncations;
+      attempts = att - rc.last_att + extra_attempts;
+      accepts = acc - rc.last_acc + extra_accepts }
+  in
+  rc.last_t <- now;
+  rc.last_kc <- kc;
+  rc.last_att <- att;
+  rc.last_acc <- acc;
+  rc.last_hits <- hits;
+  rc.last_misses <- misses;
+  emit rc entry
+
+(* Rows for the steps a resumed run skips: the metrics come from the
+   checkpoint, the per-step counters are zero (no work was repeated). *)
+let replay rc metas =
+  List.iter
+    (fun m ->
+      emit rc
+        { step = m.m_step; skew = m.m_skew; clr = m.m_clr; t_max = m.m_t_max;
+          eval_runs = Evaluator.eval_count () - rc.runs0;
+          seconds = Monoclock.now () -. rc.t0; cache_hits = 0;
+          cache_misses = 0; step_seconds = 0.; kernel_solves = 0;
+          kernel_saved = 0; kernel_truncations = 0; attempts = 0;
+          accepts = 0 })
+    metas
+
+let note rc inc =
+  rc.incidents <- inc :: rc.incidents;
+  Option.iter (fun f -> f inc) rc.on_incident
+
+let incident rc step attempt error action =
+  note rc
+    { inc_step = step; inc_attempt = attempt; inc_error = error;
+      inc_action = action }
+
+let deadline rc step attempt =
+  incident rc step attempt "deadline exceeded" "deadline";
+  raise Ivc.Deadline_exceeded
+
+let check_deadline rc (config : Config.t) step =
+  match config.Config.deadline with
+  | Some d when Monoclock.now () > d -> deadline rc step 0
+  | Some _ | None -> ()
+
+(* Persist a completed step when [dir] is set. Structural invariants
+   were checked by the caller; the electrical gate refuses to persist a
+   state whose headline numbers are not finite (a truncated march's
+   [infinity] latency is not a verified state). Slew/cap violations do
+   not block — they are recorded as waived in the stage meta. An
+   unwritable checkpoint must not fail (or retry) an otherwise
+   successful step — the run just loses this resume point. *)
+let checkpoint rc ?dir ~step ~attempt (ev : Evaluator.t) ~tree ~buf
+    ~polarity ~repair ~metas =
+  Option.iter
+    (fun dir ->
+      if
+        Float.is_finite ev.Evaluator.skew
+        && Float.is_finite ev.Evaluator.clr
+        && Float.is_finite ev.Evaluator.t_max
+      then (
+        try Checkpoint.save ~dir ~step ~tree ~buf ~polarity ~repair ~metas
+        with e ->
+          incident rc step attempt (Printexc.to_string e) "checkpoint-skipped")
+      else
+        incident rc step attempt "non-finite skew/CLR/latency"
+          "checkpoint-skipped")
+    dir
+
+let finish rc ~tree ~final ~chosen_buf ~polarity ~repair ~surrogate =
+  { tree; trace = List.rev rc.trace; final; chosen_buf; polarity; repair;
+    incidents = List.rev rc.incidents;
+    eval_runs = Evaluator.eval_count () - rc.runs0;
+    seconds = Monoclock.now () -. rc.t0; surrogate }
+
+(* ------------------------------------------------------------------ *)
+(* The monolithic flow. *)
+
 let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
     ?(resume = false) ~tech ~source ?(obstacles = []) sinks =
-  let t0 = Monoclock.now () in
-  let runs0 = Evaluator.eval_count () in
-  let kc0 = Analysis.Transient.counters () in
-  let att0 = Ivc.attempts () and acc0 = Ivc.accepts () in
-  let base_config = config in
+  if config.Config.speculation < 0 then
+    invalid_arg "Flow.run: Config.speculation must be >= 0";
+  let rc = recorder ?on_step ?on_incident () in
   let loaded =
     if resume then
       Option.bind checkpoint_dir (fun dir ->
@@ -407,17 +497,16 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
   in
   let tree = ref tree0 in
   let metas = ref resumed_metas in
-  let incidents = ref [] in
   let baseline : Evaluator.t option ref = ref None in
   (* Fault injection (tests and drills): armed once the INITIAL
      evaluation is recorded, the next [inject_numerical_failures]
      evaluations — through any lane's hooks — raise instead of
      returning, exercising the same recovery path a real numerical
      blow-up takes. *)
-  let inject_left = Atomic.make base_config.Config.inject_numerical_failures in
+  let inject_left = Atomic.make config.Config.inject_numerical_failures in
   let inject_armed = ref false in
   let wrap_hooks hooks =
-    if base_config.Config.inject_numerical_failures = 0 then hooks
+    if config.Config.inject_numerical_failures = 0 then hooks
     else
       { Speculate.eval =
           (fun ?edits t ->
@@ -430,79 +519,55 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
   (* The degraded-mode ladder: attempt 0 is the caller's configuration;
      attempt 1 turns speculation serial and pins the transient kernel to
      the fixed-rate reference march; attempt 2 additionally halves the
-     timestep and drops the incremental session (plain from-scratch
-     evaluations). Later attempts (when [max_stage_retries] is raised)
-     stay at the most conservative rung. *)
+     timestep and retreats from the flat kernel to the boxed reference
+     path. Every rung changes numerics only — evaluation stays on an
+     incremental session. Later attempts (when [max_stage_retries] is
+     raised) stay at the most conservative rung. *)
   let degraded_config k =
-    if k = 0 then base_config
+    if k = 0 then config
     else begin
       let c =
-        { base_config with
-          Config.speculation =
-            (if base_config.Config.speculation < 0 then -1 else 1);
+        { config with
+          Config.speculation = 1;
           transient_mode = Analysis.Transient.Fixed }
       in
       if k = 1 then c
       else
-        (* The most conservative rung also retreats from the flat kernel
-           to the boxed reference path. *)
         { c with
-          Config.transient_step = base_config.Config.transient_step /. 2.;
-          incremental = false;
+          Config.transient_step = config.Config.transient_step /. 2.;
           flat = false }
     end
   in
-  let session = ref None in
-  let main_hooks = ref (plain_hooks base_config) in
-  let cfg = ref base_config in
-  let last_hits = ref 0 and last_misses = ref 0 in
   (* One surrogate calibration state per run (never shared across
      domains — regional and suite fan-outs each create their own), armed
-     only when the caller opted in and the journaled search is active. *)
+     only when the caller opted in. *)
   let surrogate_state =
-    if base_config.Config.surrogate && base_config.Config.speculation >= 0
-    then Some (Analysis.Surrogate.create ())
+    if config.Config.surrogate then Some (Analysis.Surrogate.create ())
     else None
   in
-  (* One incremental session drives every CNE of the optimization steps
-     (unless disabled): the session survives IVC attempt/rollback cycles,
-     so stages untouched by a rejected or localised move are answered from
-     cache. [refresh ~tree] rebinds because Buffer_slide.respace returns a
-     rebuilt tree. On a stage retry the session is rebuilt from scratch
-     over the restored tree — its caches are content-addressed, so a
-     rebuild costs misses, never correctness. *)
-  let rebuild ~degraded =
+  (* One incremental session drives every CNE of the optimization steps:
+     the session survives IVC attempt/rollback cycles, so stages untouched
+     by a rejected or localised move are answered from cache. [refresh
+     ~tree] rebinds because Buffer_slide.respace returns a rebuilt tree.
+     On a stage retry the session is rebuilt from scratch over the
+     restored tree — its caches are content-addressed, so a rebuild costs
+     misses, never correctness. *)
+  let configure ~degraded =
     let c = degraded_config degraded in
     (* The shared cross-request store is only safe while the kernel
        settings match what its keys were computed under: degraded
        retries relax mode and step, so they run self-contained. *)
     let store = if degraded = 0 then c.Config.store else None in
-    session :=
-      (if c.Config.incremental then
-         Some
-           (Evaluator.Incremental.create ~engine:c.Config.engine
-              ~flat:c.Config.flat ~seg_len:c.Config.seg_len
-              ~transient_step:c.Config.transient_step
-              ~transient_mode:c.Config.transient_mode ?store !tree)
-       else None);
-    let hooks =
-      match !session with
-      | Some s -> session_hooks s
-      | None -> plain_hooks c
-    in
-    let hooks = wrap_hooks hooks in
-    main_hooks := hooks;
-    last_hits := 0;
-    last_misses := 0;
+    let s = session ?store c !tree in
+    attach rc s;
     (* Degraded retries run without surrogate ranking: recovery should
        take the conservative, fully-evaluated path. *)
-    cfg :=
-      { c with
-        Config.evaluator = Some hooks;
-        spec = None;
-        surrogate_state = (if degraded = 0 then surrogate_state else None) }
+    { c with
+      Config.evaluator = Some (wrap_hooks (session_hooks s));
+      spec = None;
+      surrogate_state = (if degraded = 0 then surrogate_state else None) }
   in
-  rebuild ~degraded:0;
+  let cfg = ref (configure ~degraded:0) in
   let evaluate t = Ivc.evaluate !cfg t in
   let ensure_baseline () =
     match !baseline with
@@ -514,105 +579,20 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
   in
   (* Speculation context over the flow's main tree: [width - 1] replica
      lanes, each with its own incremental session ([~parallel:false] —
-     the lanes themselves run on the domain pool). [speculation = -1]
-     keeps the legacy copy-based attempts and installs no context. *)
+     the lanes themselves run on the domain pool). *)
   let install_spec () =
-    if !cfg.Config.speculation >= 0 then begin
-      let c = !cfg in
-      let slot_hooks replica =
-        wrap_hooks
-          (if c.Config.incremental then
-             session_hooks
-               (Evaluator.Incremental.create ~engine:c.Config.engine
-                  ~flat:c.Config.flat ~seg_len:c.Config.seg_len
-                  ~parallel:false ~transient_step:c.Config.transient_step
-                  ~transient_mode:c.Config.transient_mode replica)
-           else plain_hooks c)
-      in
-      let spec =
-        Speculate.create ~width:(Config.speculation_width c) ~main:!tree
-          ~main_hooks:!main_hooks ~slot_hooks ()
-      in
-      cfg := { !cfg with Config.spec = Some spec }
-    end
-  in
-  let trace = ref [] in
-  let last_t = ref (Monoclock.now ()) in
-  (* Every counter in a trace entry is a per-step delta against the value
-     seen at the previous [record] (cache stats used to be cumulative
-     session totals while the kernel counters were deltas — mixed
-     semantics that made the streamed telemetry inconsistent). [eval_runs]
-     and [seconds] stay cumulative, as documented. *)
-  let last_kc = ref kc0 in
-  let last_att = ref att0 and last_acc = ref acc0 in
-  let record step (ev : Evaluator.t) =
-    let now = Monoclock.now () in
-    let hits, misses =
-      match !session with
-      | Some s ->
-        let st = Evaluator.Incremental.stats s in
-        (st.Evaluator.hits, st.Evaluator.misses)
-      | None -> (0, 0)
+    let c = !cfg in
+    let slot_hooks replica =
+      wrap_hooks (session_hooks (session ~parallel:false c replica))
     in
-    let kc = Analysis.Transient.counters () in
-    let entry =
-      {
-        step;
-        skew = ev.Evaluator.skew;
-        clr = ev.Evaluator.clr;
-        t_max = ev.Evaluator.t_max;
-        eval_runs = Evaluator.eval_count () - runs0;
-        seconds = now -. t0;
-        cache_hits = hits - !last_hits;
-        cache_misses = misses - !last_misses;
-        step_seconds = now -. !last_t;
-        kernel_solves =
-          kc.Analysis.Transient.total_solves
-          - !last_kc.Analysis.Transient.total_solves;
-        kernel_saved =
-          kc.Analysis.Transient.total_saved
-          - !last_kc.Analysis.Transient.total_saved;
-        kernel_truncations =
-          kc.Analysis.Transient.total_truncations
-          - !last_kc.Analysis.Transient.total_truncations;
-        attempts = Ivc.attempts () - !last_att;
-        accepts = Ivc.accepts () - !last_acc;
-      }
+    let spec =
+      Speculate.create ~width:(Config.speculation_width c) ~main:!tree
+        ~main_hooks:(Option.get c.Config.evaluator) ~slot_hooks ()
     in
-    trace := entry :: !trace;
-    last_t := now;
-    last_hits := hits;
-    last_misses := misses;
-    last_kc := kc;
-    last_att := Ivc.attempts ();
-    last_acc := Ivc.accepts ();
-    match on_step with Some f -> f entry | None -> ()
+    cfg := { c with Config.spec = Some spec }
   in
-  let incident step attempt error action =
-    let inc =
-      { inc_step = step; inc_attempt = attempt; inc_error = error;
-        inc_action = action }
-    in
-    incidents := inc :: !incidents;
-    match on_incident with Some f -> f inc | None -> ()
-  in
-  (* Synthetic trace entries for the stages a resumed run skips: the
-     metrics come from the checkpoint, the per-step counters are zero
-     (no work was repeated). *)
-  List.iter
-    (fun m ->
-      let now = Monoclock.now () in
-      let entry =
-        { step = m.m_step; skew = m.m_skew; clr = m.m_clr;
-          t_max = m.m_t_max; eval_runs = Evaluator.eval_count () - runs0;
-          seconds = now -. t0; cache_hits = 0; cache_misses = 0;
-          step_seconds = 0.; kernel_solves = 0; kernel_saved = 0;
-          kernel_truncations = 0; attempts = 0; accepts = 0 }
-      in
-      trace := entry :: !trace;
-      last_t := now;
-      match on_step with Some f -> f entry | None -> ())
-    resumed_metas;
+  replay rc resumed_metas;
+  mark rc;
   (* Run one stage under the retry umbrella: snapshot the tree, run the
      body, check structural invariants, record the step and (when
      verified) checkpoint it. Any failure except a cooperative deadline
@@ -621,7 +601,6 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
      degraded attempt succeeds the normal configuration is restored for
      the following stages. *)
   let run_stage step body =
-    let max_retries = base_config.Config.max_stage_retries in
     let rec attempt k =
       let entry_snapshot = Tree.copy !tree in
       match
@@ -632,59 +611,29 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
         ev
       with
       | ev ->
-        record step ev;
-        let meta =
-          { m_step = step; m_skew = ev.Evaluator.skew;
-            m_clr = ev.Evaluator.clr; m_t_max = ev.Evaluator.t_max;
-            m_slew_waived = ev.Evaluator.slew_violations > 0;
-            m_cap_waived = not ev.Evaluator.cap_ok }
-        in
-        metas := !metas @ [ meta ];
-        (match checkpoint_dir with
-        | None -> ()
-        | Some dir ->
-          (* Structural invariants already passed above; the electrical
-             gate refuses to persist a state whose headline numbers are
-             not finite (a truncated march's [infinity] latency is not a
-             verified state). Slew/cap violations do not block — they
-             are recorded as waived in the stage meta. *)
-          if
-            Float.is_finite ev.Evaluator.skew
-            && Float.is_finite ev.Evaluator.clr
-            && Float.is_finite ev.Evaluator.t_max
-          then (
-            try
-              Checkpoint.save ~dir ~step ~tree:!tree ~buf:chosen_buf
-                ~polarity ~repair ~metas:!metas
-            with e ->
-              (* An unwritable checkpoint must not fail (or retry) an
-                 otherwise successful stage — the run just loses this
-                 resume point. *)
-              incident step k (Printexc.to_string e) "checkpoint-skipped")
-          else
-            incident step k "non-finite skew/CLR/latency"
-              "checkpoint-skipped");
+        record rc step ev;
+        metas := !metas @ [ meta_of step ev ];
+        checkpoint rc ?dir:checkpoint_dir ~step ~attempt:k ev ~tree:!tree
+          ~buf:chosen_buf ~polarity ~repair ~metas:!metas;
         if k > 0 then begin
           (* Recovered in degraded mode: restore the caller's
              configuration for the remaining stages and force the next
              baseline to be re-evaluated under it. *)
-          rebuild ~degraded:0;
+          cfg := configure ~degraded:0;
           if rank step >= rank Tbsz then install_spec ();
           baseline := None
         end;
         ev
-      | exception Ivc.Deadline_exceeded ->
-        incident step k "deadline exceeded" "deadline";
-        raise Ivc.Deadline_exceeded
-      | exception e when k < max_retries ->
-        incident step k (Printexc.to_string e) "retry-degraded";
+      | exception Ivc.Deadline_exceeded -> deadline rc step k
+      | exception e when k < config.Config.max_stage_retries ->
+        incident rc step k (Printexc.to_string e) "retry-degraded";
         tree := entry_snapshot;
-        rebuild ~degraded:(k + 1);
+        cfg := configure ~degraded:(k + 1);
         if rank step > rank Tbsz then install_spec ();
         baseline := None;
         attempt (k + 1)
       | exception e ->
-        incident step k (Printexc.to_string e) "gave-up";
+        incident rc step k (Printexc.to_string e) "gave-up";
         raise e
     in
     attempt 0
@@ -787,18 +736,8 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
           baseline := Some ev;
           ev)
   in
-  {
-    tree = !tree;
-    trace = List.rev !trace;
-    final = final_eval;
-    chosen_buf;
-    polarity;
-    repair;
-    incidents = List.rev !incidents;
-    eval_runs = Evaluator.eval_count () - runs0;
-    seconds = Monoclock.now () -. t0;
-    surrogate = Option.map Analysis.Surrogate.stats surrogate_state;
-  }
+  finish rc ~tree:!tree ~final:final_eval ~chosen_buf ~polarity ~repair
+    ~surrogate:(Option.map Analysis.Surrogate.stats surrogate_state)
 
 (* ------------------------------------------------------------------ *)
 (* Regional synthesis: partition the sinks geometrically, run the full
@@ -852,15 +791,7 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
           ~source ~obstacles sinks;
       r_stitch = None }
   else begin
-    let t0 = Monoclock.now () in
-    let runs0 = Evaluator.eval_count () in
-    let kc0 = Analysis.Transient.counters () in
-    let evaluate_plain t =
-      Evaluator.evaluate ~engine:config.Config.engine ~flat:config.Config.flat
-        ~seg_len:config.Config.seg_len
-        ~transient_step:config.Config.transient_step
-        ~transient_mode:config.Config.transient_mode t
-    in
+    let rc = recorder ?on_step ?on_incident () in
     (* Fast resume: a verified POLISH checkpoint is the completed regional
        flow. Region membership is not recoverable from the stitched tree,
        so the per-region telemetry is gone, but the tree, metadata and
@@ -878,39 +809,19 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
     in
     match polish_ckpt with
     | Some l ->
-      let ev = evaluate_plain l.Checkpoint.ck_tree in
-      let now = Monoclock.now () in
-      let trace =
-        List.map
-          (fun m ->
-            { step = m.m_step; skew = m.m_skew; clr = m.m_clr;
-              t_max = m.m_t_max;
-              eval_runs = Evaluator.eval_count () - runs0;
-              seconds = now -. t0; cache_hits = 0; cache_misses = 0;
-              step_seconds = 0.; kernel_solves = 0; kernel_saved = 0;
-              kernel_truncations = 0; attempts = 0; accepts = 0 })
-          l.Checkpoint.ck_metas
+      let ev =
+        Evaluator.evaluate ~engine:config.Config.engine
+          ~flat:config.Config.flat ~seg_len:config.Config.seg_len
+          ~transient_step:config.Config.transient_step
+          ~transient_mode:config.Config.transient_mode l.Checkpoint.ck_tree
       in
-      List.iter (fun e -> match on_step with Some f -> f e | None -> ()) trace;
+      replay rc l.Checkpoint.ck_metas;
       { r_flow =
-          { tree = l.Checkpoint.ck_tree; trace; final = ev;
-            chosen_buf = l.Checkpoint.ck_buf;
-            polarity = l.Checkpoint.ck_polarity;
-            repair = l.Checkpoint.ck_repair; incidents = [];
-            eval_runs = Evaluator.eval_count () - runs0;
-            seconds = Monoclock.now () -. t0; surrogate = None };
+          finish rc ~tree:l.Checkpoint.ck_tree ~final:ev
+            ~chosen_buf:l.Checkpoint.ck_buf ~polarity:l.Checkpoint.ck_polarity
+            ~repair:l.Checkpoint.ck_repair ~surrogate:None;
         r_stitch = None }
     | None ->
-      let incidents = ref [] in
-      let note_incident inc =
-        incidents := inc :: !incidents;
-        match on_incident with Some f -> f inc | None -> ()
-      in
-      let incident step attempt error action =
-        note_incident
-          { inc_step = step; inc_attempt = attempt; inc_error = error;
-            inc_action = action }
-      in
       let parts = Partition.split ~regions sinks in
       let regions = Array.length parts in
       let centroids = Array.map (Partition.centroid sinks) parts in
@@ -944,7 +855,7 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
               (Array.init regions Fun.id))
       in
       Array.iter
-        (fun ((_ : result), incs) -> List.iter note_incident incs)
+        (fun ((_ : result), incs) -> List.iter (note rc) incs)
         region_runs;
       (* The stitching top tree: one pseudo-sink per region at the region
          centroid, loaded with the regional root buffer's input pin and
@@ -967,9 +878,12 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
             ?checkpoint_dir:(sub_dir "top") ~resume ~tech ~source ~obstacles
             pseudo_sinks
         in
-        List.iter note_incident !incs;
+        List.iter (note rc) !incs;
         r
       in
+      (* The region and top flows are pre-step time: STITCH covers the
+         graft and the stitched evaluation. *)
+      mark rc;
       let stitched = top.tree in
       let taps =
         let tbl = Hashtbl.create (2 * regions) in
@@ -1033,71 +947,11 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
          initial tree: parity-preserving inverter-pair insertion. *)
       if config.Config.stage_balancing then
         ignore (Stage_balance.equalize stitched ~buf:top.chosen_buf);
-      let session =
-        if config.Config.incremental then
-          Some
-            (Evaluator.Incremental.create ~engine:config.Config.engine
-               ~flat:config.Config.flat ~seg_len:config.Config.seg_len
-               ~transient_step:config.Config.transient_step
-               ~transient_mode:config.Config.transient_mode stitched)
-        else None
-      in
-      let eval_full ?edits () =
-        match session with
-        | Some s -> Evaluator.Incremental.refresh ?edits s
-        | None -> evaluate_plain stitched
-      in
-      let check_deadline step =
-        match config.Config.deadline with
-        | Some d when Monoclock.now () > d ->
-          incident step 0 "deadline exceeded" "deadline";
-          raise Ivc.Deadline_exceeded
-        | Some _ | None -> ()
-      in
-      let trace = ref [] in
-      let last_t = ref t0 in
-      let last_kc = ref kc0 in
-      let last_hits = ref 0 and last_misses = ref 0 in
-      let record step (ev : Evaluator.t) ~attempts ~accepts =
-        let now = Monoclock.now () in
-        let hits, misses =
-          match session with
-          | Some s ->
-            let st = Evaluator.Incremental.stats s in
-            (st.Evaluator.hits, st.Evaluator.misses)
-          | None -> (0, 0)
-        in
-        let kc = Analysis.Transient.counters () in
-        let entry =
-          { step; skew = ev.Evaluator.skew; clr = ev.Evaluator.clr;
-            t_max = ev.Evaluator.t_max;
-            eval_runs = Evaluator.eval_count () - runs0;
-            seconds = now -. t0;
-            cache_hits = hits - !last_hits;
-            cache_misses = misses - !last_misses;
-            step_seconds = now -. !last_t;
-            kernel_solves =
-              kc.Analysis.Transient.total_solves
-              - !last_kc.Analysis.Transient.total_solves;
-            kernel_saved =
-              kc.Analysis.Transient.total_saved
-              - !last_kc.Analysis.Transient.total_saved;
-            kernel_truncations =
-              kc.Analysis.Transient.total_truncations
-              - !last_kc.Analysis.Transient.total_truncations;
-            attempts; accepts }
-        in
-        trace := entry :: !trace;
-        last_t := now;
-        last_hits := hits;
-        last_misses := misses;
-        last_kc := kc;
-        match on_step with Some f -> f entry | None -> ()
-      in
-      check_deadline Stitch;
-      let stitched_ev = eval_full () in
-      record Stitch stitched_ev ~attempts:0 ~accepts:0;
-      let att0 = Ivc.attempts () and acc0 = Ivc.accepts () in
+      let stitch_session = session config stitched in
+      attach rc stitch_session;
+      check_deadline rc config Stitch;
+      let stitched_ev = Evaluator.Incremental.refresh stitch_session in
+      record rc Stitch stitched_ev;
       (* Global polish: per round, measure every region's nominal latency
          window on the stitched tree, snake the tap feed of each lagging
          region towards the slowest one (damped), refresh through the
@@ -1113,7 +967,7 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
         !continue_ && !rounds < max_polish_rounds
         && !best.Evaluator.skew > config.Config.stitch_skew_ps
       do
-        check_deadline Polish;
+        check_deadline rc config Polish;
         incr rounds;
         let sens = Probes.sensitivities stitched in
         let mid i =
@@ -1164,9 +1018,9 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
           let base_rev = Tree.Journal.base_revision j in
           let post_rev = Tree.revision stitched in
           let ev =
-            eval_full
+            Evaluator.Incremental.refresh
               ~edits:{ Evaluator.base_revision = base_rev; nodes = touched }
-              ()
+              stitch_session
           in
           if
             ev.Evaluator.skew < !best.Evaluator.skew -. 1e-9
@@ -1179,13 +1033,10 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
           end
           else begin
             Tree.Journal.rollback j;
-            (match session with
-            | Some s ->
-              Evaluator.Incremental.note_edits s
-                ~edits:
-                  (Some { Evaluator.base_revision = post_rev; nodes = touched })
-                ~new_revision:(Tree.revision stitched)
-            | None -> ());
+            Evaluator.Incremental.note_edits stitch_session
+              ~edits:
+                (Some { Evaluator.base_revision = post_rev; nodes = touched })
+              ~new_revision:(Tree.revision stitched);
             damping := !damping /. 2.;
             if !damping < 0.05 then continue_ := false
           end
@@ -1199,24 +1050,17 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
          headroom and RSlack budgets, through the same incremental
          session. *)
       if !best.Evaluator.skew > config.Config.stitch_skew_ps then begin
-        let hooks =
-          match session with
-          | Some s -> session_hooks s
-          | None -> plain_hooks config
-        in
         let polish_cfg =
-          { config with Config.regions = 1; evaluator = Some hooks;
+          { config with
+            Config.regions = 1;
+            evaluator = Some (session_hooks stitch_session);
             spec = None }
         in
         match Wiresnaking.run polish_cfg stitched ~baseline:!best with
-        | exception Ivc.Deadline_exceeded ->
-          incident Polish 0 "deadline exceeded" "deadline";
-          raise Ivc.Deadline_exceeded
+        | exception Ivc.Deadline_exceeded -> deadline rc Polish 0
         | wsn -> best := wsn.Wiresnaking.eval
       end;
-      record Polish !best
-        ~attempts:(!rounds + Ivc.attempts () - att0)
-        ~accepts:(!accepts + Ivc.accepts () - acc0);
+      record rc Polish !best ~extra_attempts:!rounds ~extra_accepts:!accepts;
       let polarity =
         Array.fold_left
           (fun acc ((r : result), _) ->
@@ -1226,28 +1070,9 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
               added = acc.Polarity.added + r.polarity.Polarity.added })
           top.polarity region_runs
       in
-      let meta_of step (ev : Evaluator.t) =
-        { m_step = step; m_skew = ev.Evaluator.skew; m_clr = ev.Evaluator.clr;
-          m_t_max = ev.Evaluator.t_max;
-          m_slew_waived = ev.Evaluator.slew_violations > 0;
-          m_cap_waived = not ev.Evaluator.cap_ok }
-      in
-      (match checkpoint_dir with
-      | None -> ()
-      | Some dir ->
-        if
-          Float.is_finite !best.Evaluator.skew
-          && Float.is_finite !best.Evaluator.clr
-          && Float.is_finite !best.Evaluator.t_max
-        then (
-          try
-            Checkpoint.save ~dir ~step:Polish ~tree:stitched
-              ~buf:top.chosen_buf ~polarity ~repair:top.repair
-              ~metas:[ meta_of Stitch stitched_ev; meta_of Polish !best ]
-          with e ->
-            incident Polish 0 (Printexc.to_string e) "checkpoint-skipped")
-        else
-          incident Polish 0 "non-finite skew/CLR/latency" "checkpoint-skipped");
+      checkpoint rc ?dir:checkpoint_dir ~step:Polish ~attempt:0 !best
+        ~tree:stitched ~buf:top.chosen_buf ~polarity ~repair:top.repair
+        ~metas:[ meta_of Stitch stitched_ev; meta_of Polish !best ];
       let st_regions =
         Array.to_list
           (Array.mapi
@@ -1261,11 +1086,8 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
              region_runs)
       in
       { r_flow =
-          { tree = stitched; trace = List.rev !trace; final = !best;
-            chosen_buf = top.chosen_buf; polarity; repair = top.repair;
-            incidents = List.rev !incidents;
-            eval_runs = Evaluator.eval_count () - runs0;
-            seconds = Monoclock.now () -. t0; surrogate = None };
+          finish rc ~tree:stitched ~final:!best ~chosen_buf:top.chosen_buf
+            ~polarity ~repair:top.repair ~surrogate:None;
         r_stitch =
           Some
             { st_regions;

@@ -13,10 +13,12 @@
     a {!Analysis.Numerics.Numerical_failure} or a structural invariant
     violation, the tree is rolled back to the stage entry state and the
     stage re-runs in degraded mode (serial speculation and the fixed-rate
-    transient reference march, then additionally a halved timestep with
-    plain from-scratch evaluations), up to {!Config.t.max_stage_retries}
-    times. Completed stages can be persisted as verified checkpoints and
-    resumed after a crash. *)
+    transient reference march, then additionally a halved timestep on
+    the boxed kernel), up to {!Config.t.max_stage_retries} times.
+    Degraded rungs change evaluation numerics only: every evaluation, in
+    {!run} and {!run_regional} alike, goes through an
+    {!Analysis.Evaluator.Incremental} session. Completed stages can be
+    persisted as verified checkpoints and resumed after a crash. *)
 
 (** The two extra steps belong to {!run_regional} only: [Stitch] is the
     evaluation of the grafted global tree, [Polish] the measured
@@ -37,10 +39,12 @@ type trace_entry = {
   eval_runs : int;  (** cumulative evaluation ("SPICE") runs so far *)
   seconds : float;  (** cumulative wall-clock seconds *)
   cache_hits : int;
-      (** incremental-session stage-cache hits during this step alone (0
-          when [config.incremental] is false) — like every other counter
-          below, a per-step delta, so streamed telemetry lines sum to the
-          session totals *)
+      (** incremental-session stage-cache hits during this step alone —
+          like every other counter below, a per-step delta, so streamed
+          telemetry lines sum to the session totals. Deltas start where
+          the driver's steps begin: tree construction before [Initial]
+          and the region and top flows before [Stitch] belong to no
+          step *)
   cache_misses : int;
       (** stage solves that ran an engine during this step alone *)
   step_seconds : float;  (** wall-clock seconds spent in this step alone *)
@@ -59,7 +63,8 @@ type trace_entry = {
   attempts : int;
       (** IVC candidate attempts during this step (see {!Ivc.attempts});
           speculative ladder rungs count individually, so the value is
-          identical at every speculation width [>= 0] *)
+          identical at every speculation width. [Polish] adds its tap
+          rounds *)
   accepts : int;  (** accepted candidates during this step *)
 }
 
@@ -161,7 +166,8 @@ end
 
     @raise Ivc.Deadline_exceeded between evaluations once
     [config.deadline] has passed (recorded as an incident first, never
-    retried). *)
+    retried).
+    @raise Invalid_argument when [config.speculation] is negative. *)
 val run :
   ?config:Config.t -> ?on_step:(trace_entry -> unit) ->
   ?on_incident:(incident -> unit) -> ?checkpoint_dir:string ->

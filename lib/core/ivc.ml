@@ -88,33 +88,7 @@ let debug_decision config ~baseline ~candidate =
       candidate.Evaluator.clr candidate.Evaluator.slew_violations
       candidate.Evaluator.cap_ok
 
-(* Legacy (PR 3-style) attempt: full-tree snapshot, full-tree restore.
-   Kept behind [speculation = -1] as the benchmark baseline and escape
-   hatch; no journal, no session notes — rejected attempts leave the
-   session's anchor behind and force full extractions, exactly as
-   before. *)
-let legacy_attempt config tree ~baseline ~objective mutate =
-  Atomic.incr attempts_counter;
-  let snapshot = Tree.copy tree in
-  mutate tree;
-  let candidate = evaluate config tree in
-  debug_decision config ~baseline ~candidate;
-  if
-    ok_violations ~baseline ~candidate
-    && better objective ~candidate ~baseline
-  then begin
-    Atomic.incr accepts_counter;
-    Ok candidate
-  end
-  else begin
-    Tree.assign ~dst:tree ~src:snapshot;
-    Error
-      (if not (ok_violations ~baseline ~candidate) then
-         "violations introduced"
-       else "no improvement")
-  end
-
-let journal_attempt config tree ~baseline ~objective mutate =
+let attempt config tree ~baseline ~objective mutate =
   Atomic.incr attempts_counter;
   let h = hooks config in
   let j = Tree.Journal.start tree in
@@ -146,11 +120,6 @@ let journal_attempt config tree ~baseline ~objective mutate =
          else "no improvement")
     end
 
-let attempt config tree ~baseline ~objective mutate =
-  if config.Config.speculation < 0 then
-    legacy_attempt config tree ~baseline ~objective mutate
-  else journal_attempt config tree ~baseline ~objective mutate
-
 (* The speculation context for a pass: the flow's, when the pass operates
    on the flow's main tree; otherwise a serial journaled context over the
    given tree (direct pass invocations, tests). *)
@@ -165,12 +134,10 @@ let ctx_for config tree =
 
 module Surrogate = Analysis.Surrogate
 
-(* The live calibration state, when ranking applies: the flag is on,
-   the legacy loop is not forced, and Flow created a per-run state. *)
+(* The live calibration state, when ranking applies: the flag is on
+   and Flow created a per-run state. *)
 let surrogate_state config =
-  if config.Config.surrogate && config.Config.speculation >= 0 then
-    config.Config.surrogate_state
-  else None
+  if config.Config.surrogate then config.Config.surrogate_state else None
 
 let objective_tag = function
   | Skew -> "skew"
@@ -386,29 +353,16 @@ let speculate config tree ~baseline ~objective candidates =
     end
 
 let iterate config tree ~baseline ~objective plan =
-  if config.Config.speculation < 0 then
-    let rec go baseline accepted round =
-      if round >= config.Config.max_rounds then (baseline, accepted)
-      else
-        match
-          legacy_attempt config tree ~baseline ~objective (fun t ->
-              (plan t baseline) t)
-        with
-        | Ok ev -> go ev (accepted + 1) (round + 1)
-        | Error _ -> (baseline, accepted)
-    in
-    go baseline 0 0
-  else
-    let rec go baseline accepted round =
-      if round >= config.Config.max_rounds then (baseline, accepted)
-      else begin
-        let apply = plan tree baseline in
-        match speculate config tree ~baseline ~objective [| apply |] with
-        | Some (_, ev) -> go ev (accepted + 1) (round + 1)
-        | None -> (baseline, accepted)
-      end
-    in
-    go baseline 0 0
+  let rec go baseline accepted round =
+    if round >= config.Config.max_rounds then (baseline, accepted)
+    else begin
+      let apply = plan tree baseline in
+      match speculate config tree ~baseline ~objective [| apply |] with
+      | Some (_, ev) -> go ev (accepted + 1) (round + 1)
+      | None -> (baseline, accepted)
+    end
+  in
+  go baseline 0 0
 
 (* The speculative scale ladder: instead of discovering the right damping
    one CNE at a time (try s, reject, halve, retry …), evaluate the whole
@@ -419,44 +373,25 @@ let iterate config tree ~baseline ~objective plan =
 let ladder scale = [| scale; scale /. 2.; scale /. 4.; scale /. 8. |]
 
 let adaptive_iterate config tree ~baseline ~objective plan =
-  if config.Config.speculation < 0 then
-    let rec go baseline accepted attempts scale fails =
-      if attempts >= config.Config.max_rounds || fails >= 4 || scale < 0.01
-      then (baseline, accepted, attempts)
-      else
-        match
-          legacy_attempt config tree ~baseline ~objective (fun t ->
-              (plan t baseline) ~scale t)
-        with
-        | Ok ev ->
-          go ev (accepted + 1) (attempts + 1) (Float.min 1. (scale *. 1.3)) 0
-        | Error _ ->
-          go baseline accepted (attempts + 1) (scale /. 2.) (fails + 1)
-    in
-    go baseline 0 0 1.0 0
-  else
-    let rec go baseline accepted attempts scale =
-      if attempts >= config.Config.max_rounds || scale < 0.01 then
-        (baseline, accepted, attempts)
-      else begin
-        (* One plan per round, on the (unmutated) main tree: the O(n)
-           slack/sensitivity analysis is hoisted out of the K-candidate
-           fan-out; the returned closure only applies precomputed edits,
-           which is valid on any content-identical replica. *)
-        let apply = plan tree baseline in
-        let rungs = ladder scale in
-        let candidates =
-          Array.map (fun s t -> apply ~scale:s t) rungs
-        in
-        let k = Array.length rungs in
-        match speculate config tree ~baseline ~objective candidates with
-        | Some (i, ev) ->
-          go ev (accepted + 1) (attempts + k)
-            (Float.min 1. (rungs.(i) *. 1.3))
-        | None ->
-          (* No rung survived: the ladder already explored four halvings,
-             the serial loop's give-up condition. *)
-          (baseline, accepted, attempts + k)
-      end
-    in
-    go baseline 0 0 1.0
+  let rec go baseline accepted attempts scale =
+    if attempts >= config.Config.max_rounds || scale < 0.01 then
+      (baseline, accepted, attempts)
+    else begin
+      (* One plan per round, on the (unmutated) main tree: the O(n)
+         slack/sensitivity analysis is hoisted out of the K-candidate
+         fan-out; the returned closure only applies precomputed edits,
+         which is valid on any content-identical replica. *)
+      let apply = plan tree baseline in
+      let rungs = ladder scale in
+      let candidates = Array.map (fun s t -> apply ~scale:s t) rungs in
+      let k = Array.length rungs in
+      match speculate config tree ~baseline ~objective candidates with
+      | Some (i, ev) ->
+        go ev (accepted + 1) (attempts + k) (Float.min 1. (rungs.(i) *. 1.3))
+      | None ->
+        (* No rung survived: the ladder already explored four halvings,
+           the serial loop's give-up condition. *)
+        (baseline, accepted, attempts + k)
+    end
+  in
+  go baseline 0 0 1.0

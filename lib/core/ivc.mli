@@ -11,11 +11,10 @@
     evaluated concurrently on per-lane tree replicas. Winner selection
     is deterministic: the lowest-indexed candidate passing the IVC
     acceptance rule, a pure function of candidate order — so every
-    speculation width [>= 0] produces bit-identical trees and
-    evaluations. Width changes only wall-clock time and how many losing
-    candidates get evaluated before being discarded (serial exploration
-    stops at the winner). [Config.speculation = -1] restores the legacy
-    copy-based serial loop as a benchmark baseline. *)
+    speculation width produces bit-identical trees and evaluations.
+    Width changes only wall-clock time and how many losing candidates get
+    evaluated before being discarded (serial exploration stops at the
+    winner). *)
 
 type objective =
   | Skew   (** nominal skew, CLR as tie-breaker *)
@@ -67,9 +66,7 @@ val rollback : Config.t -> Ctree.Tree.t -> Ctree.Tree.journal -> unit
     A candidate introducing violations is rejected even if the objective
     improved; a baseline that already had violations only needs to not
     get worse. [mutate] must go through the public {!Ctree.Tree}
-    mutators only (journal invariant). With [config.speculation = -1]
-    the legacy snapshot/restore implementation is used instead and the
-    journal invariant does not apply. *)
+    mutators only (journal invariant). *)
 val attempt :
   Config.t -> Ctree.Tree.t -> baseline:Analysis.Evaluator.t ->
   objective:objective -> (Ctree.Tree.t -> unit) ->
@@ -107,8 +104,8 @@ val iterate :
     candidate batch (the linear T_ws/T_wn models overshoot on large
     slacks — §IV-F notes the accuracy/rounds trade-off). The first
     surviving rung wins — serial exploration evaluates the ladder
-    lazily, reproducing the legacy loop's try/halve/retry schedule,
-    while parallel lanes precompute the smaller rungs concurrently. The
+    lazily, a try/halve/retry schedule, while parallel lanes precompute
+    the smaller rungs concurrently. The
     winning rung's scale grows by 1.3× (capped at 1) for the next
     round; a round with no survivor stops the loop (the ladder is
     exactly the serial loop's four halvings). Stops after

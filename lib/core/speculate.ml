@@ -156,9 +156,9 @@ let explore t candidates =
 (* First-survivor exploration: the winner is the lowest-indexed candidate
    [accept] admits — a pure function of candidate order, so every width
    picks the same winner. Serial mode exploits it by evaluating lazily
-   (candidates after the winner never run — the legacy serial loop's
-   schedule); parallel lanes evaluate a whole batch eagerly and discard
-   the precomputed losers, trading eval count for wall-clock.
+   (candidates after the winner never run); parallel lanes evaluate a
+   whole batch eagerly and discard the precomputed losers, trading eval
+   count for wall-clock.
 
    [measured] hands every evaluated outcome of the {e deterministic
    prefix} — the candidates the serial lazy scan would also evaluate:

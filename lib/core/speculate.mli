@@ -83,12 +83,11 @@ val explore : t -> (Tree.t -> unit) array -> outcome option array
     Order candidates by preference (the IVC scale ladder puts the
     largest scale first). The winner is a pure function of candidate
     order, identical at every width; serial mode evaluates lazily and
-    stops at the winner (the legacy serial loop's schedule), parallel
-    mode evaluates [width]-sized batches eagerly and discards the
-    precomputed losers. A context whose domain pool has no workers (a
-    single-core machine) falls back to the lazy scan — eager batches
-    without concurrency only waste evaluations. Same lane-restoration
-    contract as {!explore}.
+    stops at the winner, parallel mode evaluates [width]-sized batches
+    eagerly and discards the precomputed losers. A context whose domain
+    pool has no workers (a single-core machine) falls back to the lazy
+    scan — eager batches without concurrency only waste evaluations.
+    Same lane-restoration contract as {!explore}.
 
     [measured] receives every evaluated outcome of the deterministic
     prefix (the candidates the serial scan would evaluate: everything

@@ -557,6 +557,95 @@ let escape_token s =
     Buffer.contents buf
   end
 
+exception Parse_error of string
+
+let parse_fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
+
+let unescape_token s =
+  if s = "%empty%" then ""
+  else begin
+    let buf = Buffer.create (String.length s) in
+    let n = String.length s in
+    let i = ref 0 in
+    while !i < n do
+      if s.[!i] = '%' then begin
+        if !i + 2 >= n then parse_fail "truncated escape in %S" s;
+        (match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
+        | Some code when code >= 0 && code < 256 ->
+          Buffer.add_char buf (Char.chr code)
+        | _ -> parse_fail "bad escape in %S" s);
+        i := !i + 3
+      end
+      else begin
+        Buffer.add_char buf s.[!i];
+        incr i
+      end
+    done;
+    Buffer.contents buf
+  end
+
+let composite_to_tokens (b : Tech.Composite.t) =
+  let d = b.Tech.Composite.base in
+  Printf.sprintf "%d %s %h %h %h %h %h %h %d" b.Tech.Composite.count
+    (escape_token d.Tech.Device.name)
+    d.Tech.Device.c_in d.Tech.Device.c_out d.Tech.Device.r_up
+    d.Tech.Device.r_down d.Tech.Device.d_intrinsic d.Tech.Device.slew_coeff
+    (if d.Tech.Device.inverting then 1 else 0)
+
+let int_token s =
+  match int_of_string_opt s with
+  | Some v -> v
+  | None -> parse_fail "not an integer: %S" s
+
+let float_token s =
+  match float_of_string_opt s with
+  | Some v -> v
+  | None -> parse_fail "not a number: %S" s
+
+let composite_of_tokens_exn ~tech = function
+  | [ count; name; cin; cout; rup; rdown; dint; slew; inv ] ->
+    let count = int_token count in
+    if count < 1 then parse_fail "buffer count %d < 1" count;
+    let inverting =
+      match inv with
+      | "1" -> true
+      | "0" -> false
+      | s -> parse_fail "bad inverting flag %S" s
+    in
+    let name = unescape_token name in
+    let c_in = float_token cin and c_out = float_token cout in
+    let r_up = float_token rup and r_down = float_token rdown in
+    let d_intrinsic = float_token dint and slew_coeff = float_token slew in
+    if
+      Float.is_nan c_in || Float.is_nan c_out || Float.is_nan r_up
+      || Float.is_nan r_down || Float.is_nan d_intrinsic
+      || Float.is_nan slew_coeff
+    then parse_fail "non-finite device electricals for %S" name;
+    let matches (d : Tech.Device.t) =
+      d.Tech.Device.name = name
+      && d.Tech.Device.c_in = c_in
+      && d.Tech.Device.c_out = c_out
+      && d.Tech.Device.r_up = r_up
+      && d.Tech.Device.r_down = r_down
+      && d.Tech.Device.d_intrinsic = d_intrinsic
+      && d.Tech.Device.slew_coeff = slew_coeff
+      && d.Tech.Device.inverting = inverting
+    in
+    let dev =
+      match List.find_opt matches tech.Tech.devices with
+      | Some d -> d
+      | None -> (
+        try
+          Tech.Device.make ~name ~c_in ~c_out ~r_up ~r_down ~d_intrinsic
+            ~slew_coeff ~inverting ()
+        with Invalid_argument m -> parse_fail "%s" m)
+    in
+    Tech.Composite.make dev count
+  | _ -> parse_fail "malformed buffer"
+
+let composite_of_tokens ~tech tokens =
+  try Ok (composite_of_tokens_exn ~tech tokens) with Parse_error m -> Error m
+
 let bend_token = function Segment.L.XY -> "XY" | Segment.L.YX -> "YX"
 
 let to_string t =
@@ -571,14 +660,7 @@ let to_string t =
     match nd.kind with
     | Source -> pf " S\n"
     | Internal -> pf " I\n"
-    | Buffer b ->
-      let d = b.Tech.Composite.base in
-      pf " B %d %s %h %h %h %h %h %h %d\n" b.Tech.Composite.count
-        (escape_token d.Tech.Device.name)
-        d.Tech.Device.c_in d.Tech.Device.c_out d.Tech.Device.r_up
-        d.Tech.Device.r_down d.Tech.Device.d_intrinsic
-        d.Tech.Device.slew_coeff
-        (if d.Tech.Device.inverting then 1 else 0)
+    | Buffer b -> pf " B %s\n" (composite_to_tokens b)
     | Sink s -> pf " K %d %h %s\n" s.parity s.cap (escape_token s.label)
   done;
   for i = 0 to t.n - 1 do
@@ -599,70 +681,16 @@ let to_string t =
   done;
   Buffer.contents buf
 
-exception Parse_error of string
-
 let of_string ~tech text =
   let failf lineno fmt =
     Printf.ksprintf
       (fun m -> raise (Parse_error (Printf.sprintf "line %d: %s" lineno m)))
       fmt
   in
-  let int_ lineno s =
-    match int_of_string_opt s with
-    | Some v -> v
-    | None -> failf lineno "not an integer: %S" s
-  in
-  let float_ lineno s =
-    match float_of_string_opt s with
-    | Some v -> v
-    | None -> failf lineno "not a number: %S" s
-  in
-  let unescape lineno s =
-    if s = "%empty%" then ""
-    else begin
-      let buf = Buffer.create (String.length s) in
-      let n = String.length s in
-      let i = ref 0 in
-      while !i < n do
-        if s.[!i] = '%' then begin
-          if !i + 2 >= n then failf lineno "truncated escape in %S" s;
-          (match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
-          | Some code when code >= 0 && code < 256 ->
-            Buffer.add_char buf (Char.chr code)
-          | _ -> failf lineno "bad escape in %S" s);
-          i := !i + 3
-        end
-        else begin
-          Buffer.add_char buf s.[!i];
-          incr i
-        end
-      done;
-      Buffer.contents buf
-    end
-  in
-  let resolve_device lineno ~name ~c_in ~c_out ~r_up ~r_down ~d_intrinsic
-      ~slew_coeff ~inverting =
-    if
-      Float.is_nan c_in || Float.is_nan c_out || Float.is_nan r_up
-      || Float.is_nan r_down || Float.is_nan d_intrinsic
-      || Float.is_nan slew_coeff
-    then failf lineno "non-finite device electricals for %S" name;
-    let matches (d : Tech.Device.t) =
-      d.Tech.Device.name = name
-      && d.Tech.Device.c_in = c_in
-      && d.Tech.Device.c_out = c_out
-      && d.Tech.Device.r_up = r_up
-      && d.Tech.Device.r_down = r_down
-      && d.Tech.Device.d_intrinsic = d_intrinsic
-      && d.Tech.Device.slew_coeff = slew_coeff
-      && d.Tech.Device.inverting = inverting
-    in
-    match List.find_opt matches tech.Tech.devices with
-    | Some d -> d
-    | None ->
-      Tech.Device.make ~name ~c_in ~c_out ~r_up ~r_down ~d_intrinsic
-        ~slew_coeff ~inverting ()
-  in
+  (* Re-raise a token decoder's failure with the line number. *)
+  let at lineno f x = try f x with Parse_error m -> failf lineno "%s" m in
+  let int_ lineno = at lineno int_token in
+  let float_ lineno = at lineno float_token in
   try
     let header = ref false in
     let n = ref (-1) in
@@ -716,28 +744,11 @@ let of_string ~tech text =
             match kind with
             | [ "S" ] -> Source
             | [ "I" ] -> Internal
-            | [ "B"; count; name; cin; cout; rup; rdown; dint; slew; inv ]
-              ->
-              let count = int_ lineno count in
-              if count < 1 then failf lineno "buffer count %d < 1" count;
-              let inverting =
-                match inv with
-                | "1" -> true
-                | "0" -> false
-                | s -> failf lineno "bad inverting flag %S" s
-              in
-              let dev =
-                resolve_device lineno ~name:(unescape lineno name)
-                  ~c_in:(float_ lineno cin) ~c_out:(float_ lineno cout)
-                  ~r_up:(float_ lineno rup) ~r_down:(float_ lineno rdown)
-                  ~d_intrinsic:(float_ lineno dint)
-                  ~slew_coeff:(float_ lineno slew) ~inverting
-              in
-              Buffer (Tech.Composite.make dev count)
+            | "B" :: b -> Buffer (at lineno (composite_of_tokens_exn ~tech) b)
             | [ "K"; parity; cap; label ] ->
               Sink
                 { cap = float_ lineno cap; parity = int_ lineno parity;
-                  label = unescape lineno label }
+                  label = at lineno unescape_token label }
             | _ -> failf lineno "malformed node kind"
           in
           !nodes.(id) <-
@@ -779,27 +790,26 @@ let of_string ~tech text =
         !nodes
     in
     let count = !n in
-    let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt in
     Array.iteri
       (fun i nd ->
         (match nd.kind with
         | Source ->
-          if i <> 0 then fail "source at non-root node %d" i;
-          if nd.parent <> -1 then fail "root node has parent %d" nd.parent
+          if i <> 0 then parse_fail "source at non-root node %d" i;
+          if nd.parent <> -1 then parse_fail "root node has parent %d" nd.parent
         | Internal | Buffer _ | Sink _ ->
-          if i = 0 then fail "root node is not the source");
+          if i = 0 then parse_fail "root node is not the source");
         if nd.parent < -1 || nd.parent >= count then
-          fail "node %d has out-of-range parent %d" i nd.parent;
-        if nd.parent = i then fail "node %d is its own parent" i;
+          parse_fail "node %d has out-of-range parent %d" i nd.parent;
+        if nd.parent = i then parse_fail "node %d is its own parent" i;
         if nd.wire_class < 0
            || nd.wire_class >= Array.length tech.Tech.wires
-        then fail "node %d has invalid wire class %d" i nd.wire_class;
+        then parse_fail "node %d has invalid wire class %d" i nd.wire_class;
         List.iter
           (fun c ->
             if c < 0 || c >= count then
-              fail "node %d has out-of-range child %d" i c
+              parse_fail "node %d has out-of-range child %d" i c
             else if arr.(c).parent <> i then
-              fail "child %d of node %d has parent %d" c i arr.(c).parent)
+              parse_fail "child %d of node %d has parent %d" c i arr.(c).parent)
           nd.children)
       arr;
     Array.iteri
@@ -812,8 +822,9 @@ let of_string ~tech text =
               arr.(nd.parent).children
           in
           if occurrences <> 1 then
-            fail "node %d appears %d times in the children of its parent %d"
-              i occurrences nd.parent
+            parse_fail
+              "node %d appears %d times in the children of its parent %d" i
+              occurrences nd.parent
         end)
       arr;
     Ok { tech; nodes = arr; n = count; revision = 0; journal = None }

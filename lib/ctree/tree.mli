@@ -185,6 +185,20 @@ val to_string : t -> string
     revision 0 and no journal. *)
 val of_string : tech:Tech.t -> string -> (t, string) result
 
+(** A composite buffer as one space-separated string: count,
+    percent-escaped device name, the six device electricals as hex float
+    literals and the inverting flag — the tail of a serialized buffer
+    node line. Shared with other line formats that embed a composite. *)
+val composite_to_tokens : Tech.Composite.t -> string
+
+(** Inverse of {!composite_to_tokens} over the split tokens. The device
+    resolves like {!of_string}'s buffers: a bit-exact match in [tech]'s
+    library, else a reconstruction from the recorded electricals. NaN or
+    otherwise invalid electricals, a count below 1 and malformed tokens
+    yield [Error]; never raises. *)
+val composite_of_tokens :
+  tech:Tech.t -> string list -> (Tech.Composite.t, string) result
+
 type journal
 
 (** Undo/redo log for speculative edits (IVC attempt/rollback).

@@ -351,9 +351,42 @@ let test_checkpoint_save_load () =
   let twsz = Flow.Checkpoint.path ~dir Flow.Twsz in
   Out_channel.with_open_bin twsz (fun oc ->
       Out_channel.output_string oc "garbage");
-  match Flow.Checkpoint.load_latest ~tech ~dir with
+  (match Flow.Checkpoint.load_latest ~tech ~dir with
   | Some l -> check_bool "degraded" true (l.Flow.Checkpoint.ck_step = Flow.Tbsz)
-  | None -> Alcotest.fail "corrupt later checkpoint killed the resume"
+  | None -> Alcotest.fail "corrupt later checkpoint killed the resume");
+  (* So does a checksummed one whose buf line carries NaN electricals:
+     the checksum vouches for the bytes, not for a verified state. *)
+  let text =
+    match Core.Persist.read_checked (Flow.Checkpoint.path ~dir Flow.Tbsz) with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let nan_buf =
+    let d = buf.Tech.Composite.base in
+    Printf.sprintf "buf %d %s nan nan nan nan nan nan %d"
+      buf.Tech.Composite.count d.Tech.Device.name
+      (if d.Tech.Device.inverting then 1 else 0)
+  in
+  String.split_on_char '\n' text
+  |> List.map (fun line ->
+         if String.starts_with ~prefix:"buf " line then nan_buf
+         else if line = "step TBSZ" then "step TWSZ"
+         else line)
+  |> String.concat "\n"
+  |> Core.Persist.write_atomic_checked twsz;
+  check_bool "NaN buf line rejected" true
+    (Result.is_error (Flow.Checkpoint.load ~tech twsz));
+  (match Flow.Checkpoint.load_latest ~tech ~dir with
+  | Some l ->
+    check_bool "NaN checkpoint skipped" true
+      (l.Flow.Checkpoint.ck_step = Flow.Tbsz)
+  | None -> Alcotest.fail "NaN checkpoint killed the resume");
+  (* Electricals the device constructor refuses are an error too, never
+     an exception. *)
+  check_bool "negative electricals rejected" true
+    (Result.is_error
+       (Tree.composite_of_tokens ~tech
+          [ "1"; "INV"; "-1"; "1"; "1"; "1"; "1"; "0.1"; "1" ]))
 
 (* ---------- kill-and-resume bit-identity ---------- *)
 
@@ -459,6 +492,34 @@ let test_degraded_retry () =
   check_int "all five steps completed" 5 (List.length r.Flow.trace);
   check_bool "skew finite" true (Float.is_finite r.Flow.final.Ev.skew)
 
+(* Two injected failures climb to the last rung (fixed mode, halved
+   step, boxed kernel, width 1), which still evaluates through an
+   incremental session. *)
+let test_degraded_rung2 () =
+  let sinks = random_sinks 606 25 2_000_000 in
+  let config =
+    { flow_config with
+      Core.Config.inject_numerical_failures = 2;
+      max_stage_retries = 2 }
+  in
+  let r = Flow.run ~config ~tech ~source:(Point.make 0 1_500_000) sinks in
+  let retries =
+    List.filter
+      (fun i -> i.Flow.inc_action = "retry-degraded")
+      r.Flow.incidents
+  in
+  Alcotest.(check (list int)) "retry attempts" [ 0; 1 ]
+    (List.map (fun i -> i.Flow.inc_attempt) retries);
+  let step = (List.hd retries).Flow.inc_step in
+  check_bool "both retries in one step" true
+    (List.for_all (fun i -> i.Flow.inc_step = step) retries);
+  Alcotest.(check (list string)) "final tree valid" []
+    (Ctree.Validate.check r.Flow.tree);
+  check_int "all five steps completed" 5 (List.length r.Flow.trace);
+  let row = List.find (fun e -> e.Flow.step = step) r.Flow.trace in
+  check_bool "recovered step ran on a session" true
+    (row.Flow.cache_hits + row.Flow.cache_misses > 0)
+
 let test_retries_exhausted () =
   let sinks = random_sinks 303 25 2_000_000 in
   let config =
@@ -497,6 +558,7 @@ let () =
          Alcotest.test_case "numerical failure typed" `Quick
            test_numerical_failure_raised;
          Alcotest.test_case "degraded retry" `Slow test_degraded_retry;
+         Alcotest.test_case "degraded rung 2" `Slow test_degraded_rung2;
          Alcotest.test_case "retries exhausted" `Quick
            test_retries_exhausted;
        ]);

@@ -185,7 +185,17 @@ let test_regional_resume () =
   let sinks = random_sinks 909 120 3_000_000 in
   let cfg = { config with Core.Config.regions = 3 } in
   let dir = temp_dir "contango_regional" in
-  let a = Flow.run_regional ~config:cfg ~checkpoint_dir:dir ~tech ~source sinks in
+  let streamed = ref [] in
+  let on_step e = streamed := e :: !streamed in
+  let a =
+    Flow.run_regional ~config:cfg ~on_step ~checkpoint_dir:dir ~tech ~source
+      sinks
+  in
+  let steps r = List.map (fun e -> e.Flow.step) r.Flow.r_flow.Flow.trace in
+  check_bool "regional trace is STITCH, POLISH" true
+    (steps a = [ Flow.Stitch; Flow.Polish ]);
+  check_bool "streamed rows equal the trace" true
+    (List.rev !streamed = a.Flow.r_flow.Flow.trace);
   (* Layout: one subdirectory per region, one for the top flow, and the
      stitched POLISH checkpoint at the root. *)
   List.iter
@@ -198,12 +208,30 @@ let test_regional_resume () =
     (Sys.file_exists (Flow.Checkpoint.path ~dir Flow.Polish));
   (* Fast resume: the POLISH checkpoint short-circuits the whole run to
      a bit-identical result. *)
+  streamed := [];
   let b =
-    Flow.run_regional ~config:cfg ~checkpoint_dir:dir ~resume:true ~tech
-      ~source sinks
+    Flow.run_regional ~config:cfg ~on_step ~checkpoint_dir:dir ~resume:true
+      ~tech ~source sinks
   in
   check_bool "fast resume skips the stitch report" true
     (b.Flow.r_stitch = None);
+  check_bool "resumed rows streamed" true
+    (List.rev !streamed = b.Flow.r_flow.Flow.trace);
+  check_bool "resumed trace is STITCH, POLISH" true (steps b = steps a);
+  let bits = Int64.bits_of_float in
+  List.iter2
+    (fun (ea : Flow.trace_entry) (eb : Flow.trace_entry) ->
+      let name = Flow.step_name eb.Flow.step in
+      check_bool (name ^ " metrics bit-identical") true
+        (bits eb.Flow.skew = bits ea.Flow.skew
+        && bits eb.Flow.clr = bits ea.Flow.clr
+        && bits eb.Flow.t_max = bits ea.Flow.t_max);
+      check_bool (name ^ " per-step counters zero") true
+        (eb.Flow.cache_hits = 0 && eb.Flow.cache_misses = 0
+        && eb.Flow.step_seconds = 0. && eb.Flow.kernel_solves = 0
+        && eb.Flow.kernel_saved = 0 && eb.Flow.kernel_truncations = 0
+        && eb.Flow.attempts = 0 && eb.Flow.accepts = 0))
+    a.Flow.r_flow.Flow.trace b.Flow.r_flow.Flow.trace;
   check_bool "resumed digest identical" true
     (Tree.digest b.Flow.r_flow.Flow.tree = Tree.digest a.Flow.r_flow.Flow.tree);
   check_bool "resumed skew bit-identical" true

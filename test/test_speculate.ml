@@ -179,12 +179,7 @@ let test_attempt_no_copy () =
   ignore
     (Core.Ivc.speculate config tree ~baseline ~objective:Core.Ivc.Skew
        [| worsen; worsen |]);
-  check_int "journaled attempts never copy the tree" c0 (Tree.copies ());
-  (* The legacy mode is the one that snapshots. *)
-  let legacy = { config with Core.Config.speculation = -1 } in
-  ignore
-    (Core.Ivc.attempt legacy tree ~baseline ~objective:Core.Ivc.Skew worsen);
-  check_bool "legacy mode snapshots" true (Tree.copies () > c0)
+  check_int "journaled attempts never copy the tree" c0 (Tree.copies ())
 
 (* A candidate that writes a node field directly bypasses the journal;
    on the main lane there is no replica to resync from, so the search
