@@ -301,6 +301,7 @@ let run_cmd =
     (match r.Core.Flow.repair with
     | Some rep -> Format.printf "repair: %a@." Route.Repair.pp_report rep
     | None -> ());
+    Printf.printf "tree digest %016Lx\n" (Ctree.Tree.digest r.Core.Flow.tree);
     (* Local skew profile: skew restricted to communicating-distance
        sink pairs. *)
     let run_rise = Ev.nominal_run r.Core.Flow.final Ev.Rise in

@@ -35,12 +35,6 @@ let counter = Atomic.make 0
 let eval_count () = Atomic.get counter
 let reset_eval_count () = Atomic.set counter 0
 
-let solve_stage ?step ?mode ?fcache ?fp ?ws engine rc ~r_drv ~s_drv =
-  match engine with
-  | Elmore_model -> Elmore.solve rc ~r_drv ~s_drv
-  | Arnoldi -> Moments.solve rc ~r_drv ~s_drv
-  | Spice -> Transient.solve ?step ?mode ?fcache ?fp ?ws rc ~r_drv ~s_drv
-
 (* The inverter's internal switching ramp: mostly a device property, with a
    mild dependence on how slowly the input arrives. Quantised to a ¼ ps
    grid so that last-bit noise in an upstream stage's slew cannot ripple a
@@ -56,81 +50,7 @@ let internal_ramp_slew ~in_slew =
    infinite, so passes without one never raise it. *)
 exception Slew_exceeded
 
-(* Chain one corner × source-transition pass over the stages. [solve] is
-   indexed by the stage position so callers can attach per-stage cached
-   state (fingerprints, factorisations) without recomputing it here. *)
-let propagate_with ?(max_slew = infinity) ~solve tree stages
-    (corner : Tech.Corner.t) source_transition =
-  let n = Tree.size tree in
-  let tech = Tree.tech tree in
-  let latency = Array.make n nan in
-  let slew = Array.make n nan in
-  (* Per-driver launch state: arrival of the output ramp's 50 % point, the
-     output transition, and the slew seen at the driver's input. *)
-  let launch = Array.make n nan in
-  let out_tr = Array.make n source_transition in
-  let in_slew = Array.make n tech.Tech.source_slew in
-  launch.(Tree.root tree) <- 0.;
-  let worst_slew = ref 0. and worst_node = ref (-1) in
-  Array.iteri
-    (fun si { Rcnet.driver; rc } ->
-      let tr = out_tr.(driver) in
-      let r_base =
-        match (Tree.node tree driver).Tree.kind with
-        | Tree.Source -> tech.Tech.source_r
-        | Tree.Buffer b ->
-          (match tr with
-          | Rise -> Tech.Composite.r_up b
-          | Fall -> Tech.Composite.r_down b)
-        | Tree.Internal | Tree.Sink _ ->
-          invalid_arg "Evaluator: stage driven by a non-driver node"
-      in
-      let r_drv = r_base *. corner.Tech.Corner.r_scale in
-      let s_drv =
-        match (Tree.node tree driver).Tree.kind with
-        | Tree.Source -> tech.Tech.source_slew
-        | _ -> internal_ramp_slew ~in_slew:in_slew.(driver)
-      in
-      let results = solve si rc ~r_drv ~s_drv in
-      Array.iteri
-        (fun k (_, tap) ->
-          let d, s = results.(k) in
-          let arrival = launch.(driver) +. d in
-          match tap with
-          | Rcnet.Tap_sink id ->
-            latency.(id) <- arrival;
-            slew.(id) <- s;
-            if s > !worst_slew then begin worst_slew := s; worst_node := id end
-          | Rcnet.Tap_buffer id ->
-            latency.(id) <- arrival;
-            slew.(id) <- s;
-            if s > !worst_slew then begin worst_slew := s; worst_node := id end;
-            (match (Tree.node tree id).Tree.kind with
-            | Tree.Buffer b ->
-              let gate_delay =
-                (Tech.Composite.d_intrinsic b *. corner.Tech.Corner.d_scale)
-                +. (Tech.Composite.slew_coeff b *. s)
-              in
-              launch.(id) <- arrival +. gate_delay;
-              in_slew.(id) <- s;
-              out_tr.(id) <-
-                (if Tech.Composite.inverting b then flip tr else tr)
-            | _ -> invalid_arg "Evaluator: buffer tap on non-buffer node"))
-        rc.Rcnet.taps;
-      if !worst_slew > max_slew then raise Slew_exceeded)
-    stages;
-  { corner; transition = source_transition; latency; slew;
-    worst_slew = !worst_slew; worst_slew_node = !worst_node }
-
-let propagate ?max_slew ?step ?mode ?fcache ?fps ?ws engine tree stages
-    corner source_transition =
-  propagate_with ?max_slew
-    ~solve:(fun si rc ~r_drv ~s_drv ->
-      let fp = Option.map (fun a -> a.(si)) fps in
-      solve_stage ?step ?mode ?fcache ?fp ?ws engine rc ~r_drv ~s_drv)
-    tree stages corner source_transition
-
-(* Launch-chain state of one corner × transition pass over a flat stage
+(* Launch-chain state of one corner × transition pass over the stage
    pool. Split out of the propagation loop so the level-batched parallel
    refresh can advance many passes in lockstep: gather the stage drives
    of one DAG level for every pass, solve them all, then apply the taps —
@@ -161,8 +81,7 @@ let pstate_make tree source_transition =
 
 (* Driver parameters of stage [si] given the pass state: reads the
    arena's kind tag and stored drive resistances — the exact values the
-   boxed accessors return — so the (r_drv, s_drv) cache keys are
-   bit-identical to the boxed pass's. *)
+   tree's buffer accessors return. *)
 let stage_drive tech (arena : Arena.t) (pool : Rcflat.t)
     (corner : Tech.Corner.t) st si =
   let driver = pool.Rcflat.driver.(si) in
@@ -213,9 +132,12 @@ let pstate_run st corner transition =
   { corner; transition; latency = st.p_latency; slew = st.p_slew;
     worst_slew = st.p_worst; worst_slew_node = st.p_worst_node }
 
-(* Flat analogue of [propagate_with]: one sequential corner × transition
-   pass over the stage pool. *)
-let propagate_pool ?(max_slew = infinity) ~solve tree arena pool
+(* One sequential corner × transition pass over the stage pool: chain
+   each stage's launch from its driver's arrival, solving stage [si] with
+   [solve si ~r_drv ~s_drv]. [solve] is indexed by the stage position so
+   callers can attach per-stage cached state (fingerprints,
+   factorisations) without recomputing it here. *)
+let propagate ?(max_slew = infinity) ~solve tree arena pool
     (corner : Tech.Corner.t) source_transition =
   let tech = Tree.tech tree in
   let st = pstate_make tree source_transition in
@@ -358,39 +280,44 @@ let fan_out_corners tree pass =
 let screen ?(engine = Spice) ?(flat = false) ?seg_len ?transient_step
     ?transient_mode ~max_slew tree =
   Atomic.incr counter;
-  if flat && engine = Spice then begin
-    (* Streaming path: one arena snapshot and one flat stage pool scoped
-       to this call, read-only while the corners march over it. A cached
-       factor is bit-identical to a recomputed one, so per-corner caches
-       change wall clock only. *)
-    let arena = Arena.compile tree in
-    let pool = Rcflat.compile ?seg_len arena in
+  (* One arena snapshot and one stage pool scoped to this call, read-only
+     while the corners march over it. *)
+  let arena = Arena.compile tree in
+  let pool = Rcflat.compile ?seg_len arena in
+  let pass solve = propagate ~max_slew ~solve tree arena pool in
+  (* One factorisation cache per corner lets its two passes share
+     per-stage factorisations (and, in the adaptive modes, the coarse-rate
+     factors) without allocating state arrays per stage. A cached factor
+     is bit-identical to a recomputed one, so the caches change wall clock
+     only. *)
+  match engine with
+  | Spice when flat ->
     fan_out_corners tree (fun corner ->
         let fcache = Transient.Flat.Fcache.create ()
         and ws = Transient.domain_workspace () in
-        let solve si ~r_drv ~s_drv =
-          Transient.Flat.solve ?step:transient_step ?mode:transient_mode
-            ~fcache ~ws pool ~si ~r_drv ~s_drv
-        in
-        propagate_pool ~max_slew ~solve tree arena pool corner)
-  end
-  else begin
-    let stages = Array.of_list (Rcnet.stages ?seg_len tree) in
+        pass
+          (fun si ~r_drv ~s_drv ->
+            Transient.Flat.solve ?step:transient_step ?mode:transient_mode
+              ~fcache ~ws pool ~si ~r_drv ~s_drv)
+          corner)
+  | _ -> (
+    (* The boxed kernel and the model engines solve a boxed copy of each
+       stage, materialised once before the corners fan out. *)
+    let rcs = Array.init (Rcflat.nstages pool) (Rcflat.stage_rc pool) in
     match engine with
     | Spice ->
-      (* One factorisation cache per corner lets its two passes share
-         per-stage factorisations (and, in the adaptive modes, the
-         coarse-rate factors) without allocating state arrays per
-         stage. *)
-      let fps = Array.map (fun st -> Rcnet.fingerprint st.Rcnet.rc) stages in
       fan_out_corners tree (fun corner ->
-          propagate ~max_slew ?step:transient_step ?mode:transient_mode
-            ~fcache:(Transient.Fcache.create ()) ~fps
-            ~ws:(Transient.domain_workspace ())
-            engine tree stages corner)
-    | Arnoldi | Elmore_model ->
-      fan_out_corners tree (propagate ~max_slew engine tree stages)
-  end
+          let fcache = Transient.Fcache.create ()
+          and ws = Transient.domain_workspace () in
+          pass
+            (fun si ~r_drv ~s_drv ->
+              Transient.solve ?step:transient_step ?mode:transient_mode
+                ~fcache ~fp:pool.Rcflat.fp.(si) ~ws rcs.(si) ~r_drv ~s_drv)
+            corner)
+    | Arnoldi ->
+      fan_out_corners tree (pass (fun si -> Moments.solve rcs.(si)))
+    | Elmore_model ->
+      fan_out_corners tree (pass (fun si -> Elmore.solve rcs.(si))))
 
 let evaluate ?engine ?flat ?seg_len ?transient_step ?transient_mode tree =
   Option.get
@@ -552,8 +479,8 @@ module Incremental = struct
        factorisation cache fills lazily (the adaptive kernel factors its
        coarse rates on first use), so each domain-parallel pass owns its
        own pair — no locks, no races, scheduling-independent results. *)
-    s_fcache : Transient.Fcache.t;
-    s_ffcache : Transient.Flat.Fcache.t;
+    s_fcache : Transient.Fcache.t;  (* boxed kernel *)
+    s_ffcache : Transient.Flat.Fcache.t;  (* streaming kernel *)
     s_ws : Transient.workspace;
     mutable hits : int;
     mutable misses : int;
@@ -571,36 +498,29 @@ module Incremental = struct
     store : Store.handle option;
     mutable tree : Tree.t;
     slots : slot array;
-    (* Flat-engine state: the arena snapshot and the stage pool the
-       session last compiled (rebuilt when the session is rebound to a
-       different tree), a scratch workspace for the serial prep phase,
+    (* The arena snapshot and the stage pool the session last compiled
+       (rebuilt when the session is rebound to a different tree). Every
+       engine solves its stages out of the pool. *)
+    mutable arena : Arena.t option;
+    mutable pool : Rcflat.t option;
+    (* Streaming-kernel scratch: a workspace for the serial prep phase
        and one workspace per domain for the chunked parallel solves
        (allocated lazily on the first parallel flat refresh). *)
-    mutable f_arena : Arena.t option;
-    mutable f_pool : Rcflat.t option;
     f_scratch : Transient.workspace;
     mutable f_ws : Transient.workspace array;
-    (* Probe calls come from the session's own thread (tests, debugging),
-       never from the parallel phase; they get a dedicated cache and
-       workspace so they cannot disturb the slots'. *)
-    probe_fcache : Transient.Fcache.t;
-    probe_ws : Transient.workspace;
     mutable last : t option;
     mutable last_revision : int;
     mutable last_tree : Tree.t;
     mutable refreshes : int;
     mutable fast_refreshes : int;
     mutable dirty_refreshes : int;
-    (* Stage caches for the dirty-set fast path. [c_stages]/[c_fps] hold
-       the extraction the session last computed; [c_stage_of] maps a tree
-       node to the stage owning its parent wire and [c_driven] maps a
+    (* Stage maps for the dirty-set fast path. [c_stage_of] maps a tree
+       node to the pool stage owning its parent wire and [c_driven] maps a
        driver node to the stage it drives. [anchor_rev] is the tree
-       revision the caches describe, advanced by [note_edits] as journaled
+       revision the pool describes, advanced by [note_edits] as journaled
        edits are reported; [pending] accumulates their touched nodes until
        the next refresh. Any unreported mutation breaks the chain and the
        next refresh falls back to a full extraction. *)
-    mutable c_stages : Rcnet.stage array;
-    mutable c_fps : Int64.t array;
     mutable c_stage_of : int array;
     mutable c_driven : int array;
     mutable stages_tree : Tree.t;
@@ -615,8 +535,8 @@ module Incremental = struct
 
   let create ?(engine = Spice) ?(flat = false) ?seg_len ?(parallel = true)
       ?transient_step ?transient_mode ?store tree =
-    (* The flat pool streams the backward-Euler kernel; the model engines
-       never touch it, so the knob quietly means "boxed" for them. *)
+    (* [flat] only picks the kernel that marches a [Spice] stage; the
+       model engines ignore it. *)
     let flat = flat && engine = Spice in
     let corners = (Tree.tech tree).Tech.corners in
     (* Per-slot factorisation caches read through the store's shared
@@ -639,18 +559,34 @@ module Incremental = struct
            corners)
     in
     { engine; flat; seg_len; parallel; tstep = transient_step;
-      tmode = transient_mode; store; tree; slots; f_arena = None; f_pool = None;
-      f_scratch = Transient.workspace (); f_ws = [||];
-      probe_fcache = Transient.Fcache.create ();
-      probe_ws = Transient.workspace (); last = None; last_revision = -1;
-      last_tree = tree; refreshes = 0; fast_refreshes = 0;
-      dirty_refreshes = 0; c_stages = [||]; c_fps = [||];
-      c_stage_of = [||]; c_driven = [||]; stages_tree = tree;
-      anchor_rev = -1; pending = [] }
+      tmode = transient_mode; store; tree; slots; arena = None; pool = None;
+      f_scratch = Transient.workspace (); f_ws = [||]; last = None;
+      last_revision = -1; last_tree = tree; refreshes = 0; fast_refreshes = 0;
+      dirty_refreshes = 0; c_stage_of = [||]; c_driven = [||];
+      stages_tree = tree; anchor_rev = -1; pending = [] }
 
-  let run_slot session stages fps slot =
-    let solve si rc ~r_drv ~s_drv =
-      let key = (fps.(si), r_drv, s_drv) in
+  (* One engine solve of pool stage [si] for [slot]. Only the streaming
+     kernel reads the pool slice itself; the boxed kernel and the model
+     engines solve a boxed copy of the stage, which equals the reference
+     extraction bit for bit. *)
+  let solve_stage session slot pool si ~r_drv ~s_drv =
+    match session.engine with
+    | Spice when session.flat ->
+      Transient.Flat.solve ?step:session.tstep ?mode:session.tmode
+        ~fcache:slot.s_ffcache ~ws:slot.s_ws pool ~si ~r_drv ~s_drv
+    | Spice ->
+      Transient.solve ?step:session.tstep ?mode:session.tmode
+        ~fcache:slot.s_fcache ~fp:pool.Rcflat.fp.(si) ~ws:slot.s_ws
+        (Rcflat.stage_rc pool si) ~r_drv ~s_drv
+    | Arnoldi ->
+      (* Newton-polished crossings: same roots as [Moments.solve] to
+         ~1e-12 ps at a fraction of the cost (see moments.mli). *)
+      Moments.solve_fast (Rcflat.stage_rc pool si) ~r_drv ~s_drv
+    | Elmore_model -> Elmore.solve (Rcflat.stage_rc pool si) ~r_drv ~s_drv
+
+  let run_slot session arena pool slot =
+    let solve si ~r_drv ~s_drv =
+      let key = (pool.Rcflat.fp.(si), r_drv, s_drv) in
       match Hashtbl.find_opt slot.cache key with
       | Some r ->
         slot.hits <- slot.hits + 1;
@@ -663,18 +599,7 @@ module Incremental = struct
           match Option.bind session.store (fun h -> Store.find h key) with
           | Some r -> r
           | None ->
-            let r =
-              match session.engine with
-              | Spice ->
-                Transient.solve ?step:session.tstep ?mode:session.tmode
-                  ~fcache:slot.s_fcache ~fp:fps.(si) ~ws:slot.s_ws rc ~r_drv
-                  ~s_drv
-              | Arnoldi ->
-                (* Newton-polished crossings: same roots as [Moments.solve]
-                   to ~1e-12 ps at a fraction of the cost (see moments.mli). *)
-                Moments.solve_fast rc ~r_drv ~s_drv
-              | Elmore_model -> solve_stage session.engine rc ~r_drv ~s_drv
-            in
+            let r = solve_stage session slot pool si ~r_drv ~s_drv in
             (match session.store with
             | Some h -> Store.add h key r
             | None -> ());
@@ -684,36 +609,7 @@ module Incremental = struct
         Hashtbl.add slot.cache key r;
         r
     in
-    propagate_with ~solve session.tree stages slot.s_corner slot.s_transition
-
-  let run_slot_flat session arena pool slot =
-    let solve si ~r_drv ~s_drv =
-      let key = (pool.Rcflat.fp.(si), r_drv, s_drv) in
-      match Hashtbl.find_opt slot.cache key with
-      | Some r ->
-        slot.hits <- slot.hits + 1;
-        r
-      | None ->
-        slot.misses <- slot.misses + 1;
-        let r =
-          match Option.bind session.store (fun h -> Store.find h key) with
-          | Some r -> r
-          | None ->
-            let r =
-              Transient.Flat.solve ?step:session.tstep ?mode:session.tmode
-                ~fcache:slot.s_ffcache ~ws:slot.s_ws pool ~si ~r_drv ~s_drv
-            in
-            (match session.store with
-            | Some h -> Store.add h key r
-            | None -> ());
-            r
-        in
-        if Hashtbl.length slot.cache >= cache_cap then Hashtbl.reset slot.cache;
-        Hashtbl.add slot.cache key r;
-        r
-    in
-    propagate_pool ~solve session.tree arena pool slot.s_corner
-      slot.s_transition
+    propagate ~solve session.tree arena pool slot.s_corner slot.s_transition
 
   (* One pending flat solve of the level-batched refresh: which slot and
      stage it serves, its drive key, the pre-resolved march state, and
@@ -881,23 +777,19 @@ module Incremental = struct
     in
     summarize session.tree runs
 
+  (* A parallel refresh batches the streaming kernel's solves level by
+     level; the other engines fan the whole slots out instead. *)
   let run_all session =
-    match (session.f_arena, session.f_pool) with
-    | Some arena, Some pool when session.flat ->
-      if session.parallel && Array.length session.slots > 1 then
-        run_all_flat session arena pool
-      else
-        summarize session.tree
-          (Array.to_list
-             (Array.map (run_slot_flat session arena pool) session.slots))
-    | _ ->
-      let stages = session.c_stages and fps = session.c_fps in
+    let arena = Option.get session.arena and pool = Option.get session.pool in
+    let fan_out = session.parallel && Array.length session.slots > 1 in
+    if fan_out && session.flat then run_all_flat session arena pool
+    else
       let runs =
-        if session.parallel && Array.length session.slots > 1 then
+        if fan_out then
           Domain_pool.map (Domain_pool.global ())
-            (run_slot session stages fps)
+            (run_slot session arena pool)
             session.slots
-        else Array.map (run_slot session stages fps) session.slots
+        else Array.map (run_slot session arena pool) session.slots
       in
       summarize session.tree (Array.to_list runs)
 
@@ -924,53 +816,35 @@ module Incremental = struct
 
   let full_refresh session =
     let tree = session.tree in
-    (if session.flat then begin
-       let arena =
-         match session.f_arena with
-         | Some a when Arena.tree a == tree ->
-           Arena.sync a;
-           a
-         | _ ->
-           (* Rebound to a different tree (or first refresh): the pool
-              holds slices of the old arena, so both are rebuilt. *)
-           let a = Arena.compile tree in
-           session.f_arena <- Some a;
-           session.f_pool <- None;
-           a
-       in
-       let pool =
-         match session.f_pool with
-         | Some p ->
-           Rcflat.recompile p;
-           p
-         | None ->
-           let p = Rcflat.compile ?seg_len:session.seg_len arena in
-           session.f_pool <- Some p;
-           p
-       in
-       let stage_of, driven =
-         stage_maps tree ~nstages:pool.Rcflat.nstages ~driver_of:(fun si ->
-             pool.Rcflat.driver.(si))
-       in
-       session.c_stages <- [||];
-       session.c_fps <- [||];
-       session.c_stage_of <- stage_of;
-       session.c_driven <- driven
-     end
-     else begin
-       let stages =
-         Array.of_list (Rcnet.stages ?seg_len:session.seg_len tree)
-       in
-       let fps = Array.map (fun st -> Rcnet.fingerprint st.Rcnet.rc) stages in
-       let stage_of, driven =
-         stage_maps tree ~nstages:(Array.length stages) ~driver_of:(fun si ->
-             stages.(si).Rcnet.driver)
-       in
-       session.c_stages <- stages;
-       session.c_fps <- fps;
-       session.c_stage_of <- stage_of;
-       session.c_driven <- driven
-     end);
+    let arena =
+      match session.arena with
+      | Some a when Arena.tree a == tree ->
+        Arena.sync a;
+        a
+      | _ ->
+        (* Rebound to a different tree (or first refresh): the pool holds
+           slices of the old arena, so both are rebuilt. *)
+        let a = Arena.compile tree in
+        session.arena <- Some a;
+        session.pool <- None;
+        a
+    in
+    let pool =
+      match session.pool with
+      | Some p ->
+        Rcflat.recompile p;
+        p
+      | None ->
+        let p = Rcflat.compile ?seg_len:session.seg_len arena in
+        session.pool <- Some p;
+        p
+    in
+    let stage_of, driven =
+      stage_maps tree ~nstages:pool.Rcflat.nstages ~driver_of:(fun si ->
+          pool.Rcflat.driver.(si))
+    in
+    session.c_stage_of <- stage_of;
+    session.c_driven <- driven;
     session.stages_tree <- tree;
     session.anchor_rev <- Tree.revision tree;
     session.pending <- [];
@@ -1018,31 +892,17 @@ module Incremental = struct
         go [] ids
 
   (* Re-extract only the dirty stages; every slot then re-propagates over
-     the cached stage array, hitting its solve cache on the clean ones
-     (the downstream-latency cone is handled by the propagation itself —
+     the pool, hitting its solve cache on the clean stages (the
+     downstream-latency cone is handled by the propagation itself —
      arrival chaining is recomputed for free, only dirty-stage solves
-     miss). *)
+     miss). Dirty hints come from value-only journals (size and stage set
+     unchanged), so patching the touched arena nodes and re-extracting
+     the dirty stages in place is exact. *)
   let dirty_refresh session ids dirty rev =
     session.dirty_refreshes <- session.dirty_refreshes + 1;
-    (if session.flat then begin
-       (* Dirty hints come from value-only journals (size and stage set
-          unchanged), so patching the touched arena nodes and
-          re-extracting the dirty stages in place is exact. *)
-       let arena = Option.get session.f_arena in
-       let pool = Option.get session.f_pool in
-       Arena.sync ~touched:ids arena;
-       List.iter (Rcflat.update_stage pool) dirty
-     end
-     else
-       List.iter
-         (fun si ->
-           let driver = session.c_stages.(si).Rcnet.driver in
-           let st =
-             Rcnet.stage_for ?seg_len:session.seg_len session.tree ~driver
-           in
-           session.c_stages.(si) <- st;
-           session.c_fps.(si) <- Rcnet.fingerprint st.Rcnet.rc)
-         dirty);
+    let pool = Option.get session.pool in
+    Arena.sync ~touched:ids (Option.get session.arena);
+    List.iter (Rcflat.update_stage pool) dirty;
     session.anchor_rev <- rev;
     session.pending <- [];
     run_all session
@@ -1081,10 +941,6 @@ module Incremental = struct
       session.anchor_rev <- -1;
       session.pending <- []
 
-  let probe session rc ~r_drv ~s_drv ~node ~times =
-    Transient.probe ?step:session.tstep ~fcache:session.probe_fcache
-      ~ws:session.probe_ws rc ~r_drv ~s_drv ~node ~times
-
   let stats session =
     let hits = Array.fold_left (fun a s -> a + s.hits) 0 session.slots in
     let misses = Array.fold_left (fun a s -> a + s.misses) 0 session.slots in
@@ -1092,12 +948,11 @@ module Incremental = struct
       Array.fold_left (fun a s -> a + Hashtbl.length s.cache) 0 session.slots
     in
     let factored_entries =
-      Transient.Fcache.length session.probe_fcache
-      + Array.fold_left
-          (fun a s ->
-            a + Transient.Fcache.length s.s_fcache
-            + Transient.Flat.Fcache.length s.s_ffcache)
-          0 session.slots
+      Array.fold_left
+        (fun a s ->
+          a + Transient.Fcache.length s.s_fcache
+          + Transient.Flat.Fcache.length s.s_ffcache)
+        0 session.slots
     in
     let store_hits, store_misses =
       match session.store with
@@ -1118,7 +973,6 @@ module Incremental = struct
         s.hits <- 0;
         s.misses <- 0)
       session.slots;
-    Transient.Fcache.clear session.probe_fcache;
     session.last <- None;
     session.last_revision <- -1;
     session.anchor_rev <- -1;

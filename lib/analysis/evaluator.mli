@@ -1,12 +1,14 @@
 (** Clock-Network Evaluation (CNE): full-tree timing with a pluggable
     engine.
 
-    The tree is decomposed into driver stages; each stage is solved with
-    the selected engine and the results chained — buffer input arrival plus
-    the buffer's (corner-scaled) intrinsic and slew-dependent delay gives
-    the next stage's launch time. Rising and falling source transitions
-    are propagated separately (inverters flip the edge per stage), at every
-    corner of the technology.
+    The tree is compiled into a {!Ctree.Arena} snapshot and decomposed
+    into driver stages held in one {!Rcflat} stage pool — the single
+    stage representation every engine evaluates over. Each stage is
+    solved with the selected engine and the results chained — buffer
+    input arrival plus the buffer's (corner-scaled) intrinsic and
+    slew-dependent delay gives the next stage's launch time. Rising and
+    falling source transitions are propagated separately (inverters flip
+    the edge per stage), at every corner of the technology.
 
     Every call increments a global evaluation counter, mirroring the
     paper's count of SPICE runs (Table V). *)
@@ -53,13 +55,15 @@ type t = {
     see {!Transient.mode}); both default to the kernel's own defaults and
     are ignored by the other engines.
 
-    [flat] (default false) runs the [Spice] engine through the streaming
-    kernel instead: the tree is compiled into a {!Ctree.Arena} snapshot
-    and an {!Rcflat} stage pool and every march runs over flat memory
-    (see {!Transient.Flat}). Cache keys and adaptive rate choices are
-    bit-identical to the boxed path; crossing times agree to
-    sub-femtosecond (~1e-6 ps at 100K-node stages). Ignored by the
-    other engines.
+    Every engine reads its stages out of the same {!Rcflat} pool. [flat]
+    (default false) only picks the kernel that marches a [Spice] stage:
+    the streaming kernel over the pool slice ({!Transient.Flat}) instead
+    of the boxed kernel ({!Transient.solve}) on the stage's
+    {!Rcflat.stage_rc} copy. Cache keys and adaptive rate choices are
+    bit-identical between the two; crossing times agree to
+    sub-femtosecond (~1e-6 ps at 100K-node stages). [Arnoldi] and
+    [Elmore_model] solve the {!Rcflat.stage_rc} copy and ignore
+    [flat].
 
     The corners fan out over {!Domain_pool.global}: one job per corner
     runs the Rise then the Fall pass, sharing that corner's
@@ -200,15 +204,17 @@ module Incremental : sig
       [engine]/[flat]/[seg_len]/[transient_step]/[transient_mode] default
       like {!evaluate}.
 
-      With [flat] the session keeps a {!Ctree.Arena} snapshot and an
-      {!Rcflat} stage pool alongside its caches: a full refresh
-      recompiles them in place (reusing the grown buffers), the
+      Every session keeps a {!Ctree.Arena} snapshot and an {!Rcflat}
+      stage pool alongside its caches, for every engine: a full refresh
+      recompiles them in place (reusing the grown buffers) and the
       dirty-set fast path patches only the touched arena nodes and
-      re-extracts the dirty stages inside the pool, and a parallel
-      refresh batches each stage-DAG level's cache misses into
-      contiguous index-range chunks across the domain pool instead of
-      spawning a closure per stage. Results agree with the boxed
-      session's to sub-femtosecond (~1e-6 ps at 100K-node stages).
+      re-extracts the dirty stages inside the pool. [flat] only picks
+      the [Spice] march kernel, as in {!evaluate}. A parallel refresh
+      fans the corner × transition slots out over the domain pool; with
+      [flat] it instead batches each stage-DAG level's cache misses into
+      contiguous index-range chunks across the domain pool. Flat results
+      agree with the boxed kernel's to sub-femtosecond (~1e-6 ps at
+      100K-node stages).
 
       [store] attaches a shared {!Store} handle: slot-cache misses
       consult the shared table before running an engine, computed
@@ -245,13 +251,6 @@ module Incremental : sig
       refresh does a full extraction. Never evaluates. *)
   val note_edits :
     session -> edits:edit_hint option -> new_revision:int -> unit
-
-  (** Waveform probe through the session's factorisation cache and
-      workspace (see {!Transient.probe}); uses the session's
-      [transient_step]. Call from the session's thread only. *)
-  val probe :
-    session -> Rcnet.t -> r_drv:float -> s_drv:float -> node:int ->
-    times:float array -> float array
 
   val stats : session -> cache_stats
 

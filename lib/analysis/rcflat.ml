@@ -1,6 +1,7 @@
-(* Flat RC stage pool: every stage of a tree packed into one contiguous
-   pair of float64 Bigarray buffers (res / cap) plus a stage-local parent
-   index array, with CSR-style per-stage offsets. The extraction walks a
+(* Flat RC stage pool — the evaluator's stage representation for every
+   engine: every stage of a tree packed into one contiguous pair of
+   float64 Bigarray buffers (res / cap) plus a stage-local parent index
+   array, with CSR-style per-stage offsets. The extraction walks a
    [Ctree.Arena] snapshot (first-child / next-sibling chains) and
    replicates [Rcnet.build_stage]'s push order and float arithmetic
    exactly, so per-stage fingerprints — and therefore every content-keyed
@@ -129,23 +130,22 @@ let measure p ~driver =
 (* Mirror of [Rcnet.fingerprint] over a pool region; the mixed values are
    bit-identical to the boxed stage's, so the hashes agree. *)
 let fingerprint_region p ~base ~n ~watch ~tap_kind =
-  let open Int64 in
   let prime = 0x100000001b3L in
   let h = ref 0xcbf29ce484222325L in
-  let mix x = h := mul (logxor !h x) prime in
-  let mix_int i = mix (of_int i) in
-  let mix_float f = mix (bits_of_float f) in
-  mix_int n;
-  for i = 0 to n - 1 do
-    mix_int p.parent.(base + i);
-    mix_float p.res.{base + i};
-    mix_float p.cap.{base + i}
+  (* Each mix is spelled out, with no closure over [h], so the
+     accumulator stays an unboxed local instead of allocating per mix. *)
+  h := Int64.mul (Int64.logxor !h (Int64.of_int n)) prime;
+  let res = p.res and cap = p.cap and parent = p.parent in
+  for i = base to base + n - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int parent.(i))) prime;
+    h := Int64.mul (Int64.logxor !h (Int64.bits_of_float res.{i})) prime;
+    h := Int64.mul (Int64.logxor !h (Int64.bits_of_float cap.{i})) prime
   done;
   let ntaps = Array.length watch in
-  mix_int ntaps;
+  h := Int64.mul (Int64.logxor !h (Int64.of_int ntaps)) prime;
   for k = 0 to ntaps - 1 do
-    mix_int watch.(k);
-    mix_int tap_kind.(k)
+    h := Int64.mul (Int64.logxor !h (Int64.of_int watch.(k))) prime;
+    h := Int64.mul (Int64.logxor !h (Int64.of_int tap_kind.(k))) prime
   done;
   !h
 
@@ -256,7 +256,27 @@ let push_level p depth =
   end;
   p.level_off.(depth + 1) <- p.level_off.(depth + 1) + 1
 
+(* Reserve room for a full extraction up front, so a compile allocates
+   the pool once instead of doubling its Bigarrays up from empty (each
+   discarded Bigarray also speeds up the major GC). The bound counts
+   every wire segment, one root per stage and each stage's slack:
+   [slack] summed over stages is at most [4·stages + total/8]. *)
+let reserve p =
+  let a = p.arena in
+  let len = a.Arena.len and kind = a.Arena.kind in
+  let root = Arena.root a and seg_len = p.seg_len in
+  let segs = ref 0 and stages = ref 1 in
+  for id = 0 to Arena.size a - 1 do
+    if id <> root then
+      segs := !segs + max 1 ((len.(id) + seg_len - 1) / seg_len);
+    if kind.(id) = Arena.k_buffer then incr stages
+  done;
+  let n = !segs + !stages in
+  ensure_pool p (n + slack n + (4 * !stages));
+  ensure_meta p !stages
+
 let recompile p =
+  reserve p;
   p.plen <- 0;
   p.wasted <- 0;
   p.nstages <- 0;
@@ -347,20 +367,21 @@ let update_stage p si =
 let nstages p = p.nstages
 let total_nodes p = p.plen - p.wasted
 
-(* Materialise a boxed [Rcnet.t] copy of one stage — the equivalence
-   oracle in the tests compares it against the boxed extraction. *)
+(* Materialise a boxed [Rcnet.t] copy of one stage for the engines that
+   do not stream the pool (boxed transient, moments, Elmore). *)
 let stage_rc p si =
   let base = p.off.(si) and n = p.size.(si) in
-  let parent = Array.init n (fun i -> p.parent.(base + i)) in
-  let res = Array.init n (fun i -> p.res.{base + i}) in
-  let cap = Array.init n (fun i -> p.cap.{base + i}) in
+  let res = Array.create_float n and cap = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set res i p.res.{base + i};
+    Array.unsafe_set cap i p.cap.{base + i}
+  done;
+  let watch = p.watch.(si) and kinds = p.tap_kind.(si)
+  and nodes = p.tap_node.(si) in
   let taps =
-    Array.init
-      (Array.length p.watch.(si))
-      (fun k ->
-        let id = p.tap_node.(si).(k) in
-        ( p.watch.(si).(k),
-          if p.tap_kind.(si).(k) = 0 then Rcnet.Tap_sink id
-          else Rcnet.Tap_buffer id ))
+    Array.init (Array.length watch) (fun k ->
+        let id = nodes.(k) in
+        ( watch.(k),
+          if kinds.(k) = 0 then Rcnet.Tap_sink id else Rcnet.Tap_buffer id ))
   in
-  { Rcnet.parent; res; cap; taps; size = n }
+  { Rcnet.parent = Array.sub p.parent base n; res; cap; taps; size = n }

@@ -1,4 +1,5 @@
-(** Flat RC stage pool for the streaming transient kernel.
+(** Flat RC stage pool: the evaluator's one stage representation, for
+    every engine.
 
     Compiles every stage of a tree — walked through its
     {!Ctree.Arena} snapshot — into one contiguous pair of float64
@@ -8,7 +9,9 @@
     arithmetic exactly: per-stage {!fp} fingerprints equal
     [Rcnet.fingerprint] of the boxed extraction, so solve caches,
     factorisation caches and the adaptive rate selection behave
-    identically on either representation.
+    identically on either representation. The streaming kernel
+    ({!Transient.Flat}) marches a stage's slice in place; the boxed
+    kernel and the model engines solve its {!stage_rc} copy.
 
     Within a stage the rc indices are topological (parents first), so
     the precomputed leaf-to-root elimination order for the slice at
@@ -70,5 +73,8 @@ val total_nodes : t -> int
     subtracted — this counts allocated minus relocation waste). *)
 
 val stage_rc : t -> int -> Rcnet.t
-(** Materialise a boxed copy of one stage — the tests' equivalence
-    oracle against the boxed extraction. *)
+(** Materialise a boxed copy of one stage: what the evaluator hands the
+    boxed transient kernel, {!Moments} and {!Elmore}. Equal field for
+    field to the stage {!Rcnet.stages} extracts for the same driver, so
+    [Rcnet.fingerprint (stage_rc p si) = p.fp.(si)]. O(stage size); the
+    copy shares no memory with the pool. *)

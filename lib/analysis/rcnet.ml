@@ -16,11 +16,9 @@ type stage = { driver : int; rc : t }
    [Core.Config.default] and every ?seg_len default below read it. *)
 let default_seg_len = 30_000
 
-(* Growable builder for one stage's rc arrays. Reusable across
-   extractions: [finish] copies the filled prefix out, so [reset] makes
-   the (already grown) buffers available to the next stage without
-   re-allocating — the incremental dirty-set path re-extracts single
-   stages at high frequency. *)
+(* Growable builder for one stage's rc arrays: [finish] copies the filled
+   prefix out, so [reset] makes the (already grown) buffers available to
+   the next stage of the same extraction without re-allocating. *)
 type builder = {
   mutable parent_b : int array;
   mutable res_b : float array;
@@ -64,11 +62,10 @@ let finish b =
     size = b.n;
   }
 
-(* Expand one driver's stage. [on_buffer] fires for every downstream
-   buffer reached (the drivers of the next stages). [?builder] lets a
-   caller amortise the growable buffers across extractions. *)
-let build_stage ?builder ~seg_len tree ~driver ~on_buffer =
-  let b = match builder with Some b -> reset b; b | None -> new_builder () in
+(* Expand one driver's stage into [b]. [on_buffer] fires for every
+   downstream buffer reached (the drivers of the next stages). *)
+let build_stage b ~seg_len tree ~driver ~on_buffer =
+  reset b;
   let driver_node = Tree.node tree driver in
   let out_cap =
     match driver_node.Tree.kind with
@@ -112,33 +109,22 @@ let build_stage ?builder ~seg_len tree ~driver ~on_buffer =
   List.iter (fun c -> expand root_rc c) driver_node.Tree.children;
   { driver; rc = finish b }
 
-(* One lazily-created builder per domain: [finish] copies every stage
-   out, so the grown arrays can serve consecutive extractions — including
-   the regional flow's many trees per pool worker — without per-call
-   allocation. Safe because extraction never nests within a domain. *)
-let domain_builder_key = Domain.DLS.new_key new_builder
-let domain_builder () = Domain.DLS.get domain_builder_key
-
-let stages ?builder ?(seg_len = default_seg_len) tree =
+let stages ?(seg_len = default_seg_len) tree =
   (* Queue of stage drivers to expand, seeded with the source. One
      builder serves every stage: [finish] copies out, [reset] recycles. *)
-  let builder = match builder with Some b -> b | None -> domain_builder () in
+  let builder = new_builder () in
   let pending = Queue.create () in
   Queue.add (Tree.root tree) pending;
   let out = ref [] in
   while not (Queue.is_empty pending) do
     let driver = Queue.pop pending in
     let stage =
-      build_stage ~builder ~seg_len tree ~driver
+      build_stage builder ~seg_len tree ~driver
         ~on_buffer:(fun id -> Queue.add id pending)
     in
     out := stage :: !out
   done;
   List.rev !out
-
-let stage_for ?builder ?(seg_len = default_seg_len) tree ~driver =
-  let builder = match builder with Some b -> b | None -> domain_builder () in
-  build_stage ~builder ~seg_len tree ~driver ~on_buffer:(fun _ -> ())
 
 (* 64-bit FNV-1a over the electrical content of a stage: topology (parent
    pointers), element values (bit patterns of res/cap) and the tap layout

@@ -28,35 +28,17 @@ type stage = {
     default to it. *)
 val default_seg_len : int
 
-(** Reusable growable extraction buffers. {!stages} and {!stage_for} copy
-    the finished stage out of the builder, so one builder can serve any
-    number of extractions — pass it explicitly on hot paths (the
-    incremental dirty-set re-extraction) to avoid re-allocating the
-    growable arrays per stage. Not thread-safe: one builder per domain. *)
-type builder
-
-val new_builder : unit -> builder
-
-(** The calling domain's lazily-created builder ([Domain.DLS]): the
-    default for {!stages}/{!stage_for} when no builder is passed, so
-    repeated extractions on one domain — e.g. the regional flow's
-    per-worker region trees — reuse the grown arrays instead of
-    allocating fresh ones per call. *)
-val domain_builder : unit -> builder
-
 (** All stages of a tree in topological order (the source stage first, each
     buffer's stage after the stage containing that buffer's input).
     [seg_len] is the maximum wire-segment length in nm (default
-    {!default_seg_len}); [builder] defaults to {!domain_builder}. *)
-val stages : ?builder:builder -> ?seg_len:int -> Ctree.Tree.t -> stage list
+    {!default_seg_len}).
 
-(** Rebuild the single stage driven by [driver] (the source or a buffer),
-    without expanding downstream stages — the incremental evaluator's
-    dirty-set fast path uses it to re-extract only the stages a journaled
-    edit touched. Produces exactly the stage {!stages} would for the same
-    driver. *)
-val stage_for :
-  ?builder:builder -> ?seg_len:int -> Ctree.Tree.t -> driver:int -> stage
+    This is the reference extraction, walked straight off the tree. The
+    evaluator does not call it: it extracts the same stages, in the same
+    order and bit for bit, into an {!Rcflat} pool. Tests use it as the
+    oracle for that pool, and [Mesh.Crosslink] and the benchmarks use it
+    directly. *)
+val stages : ?seg_len:int -> Ctree.Tree.t -> stage list
 
 (** Content hash (64-bit FNV-1a) of a stage's electrical identity:
     topology, element values and tap layout. Ctree node ids carried by the

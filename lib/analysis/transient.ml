@@ -163,47 +163,69 @@ let grow ws ~n ~w =
 (* Factorisation cache                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Second-chance ("clock") eviction shared by the bounded factorisation
-   caches. The old behaviour at capacity was [Hashtbl.reset] — harmless
-   in a one-shot flow whose working set never reaches the cap, but in a
-   long-lived server it dumps every warm factorisation at once and then
-   thrashes at the cap boundary. Instead, entries carry a [used] bit set
-   on every hit; insertion at capacity rotates a FIFO ring, giving used
-   entries a second chance (clearing the bit) and evicting the first
-   cold one. The entry being inserted is never a candidate — it joins
-   the ring only after room has been made. *)
-type 'v centry = { cv : 'v; mutable used : bool }
+(* Second-chance ("clock") eviction: the one bounded (fingerprint,
+   step)-keyed table behind both factorisation caches. The old behaviour
+   at capacity was [Hashtbl.reset] — harmless in a one-shot flow whose
+   working set never reaches the cap, but in a long-lived server it dumps
+   every warm factorisation at once and then thrashes at the cap
+   boundary. Instead, entries carry a [used] bit set on every hit;
+   insertion at capacity rotates a FIFO ring, giving used entries a
+   second chance (clearing the bit) and evicting the first cold one. The
+   entry being inserted is never a candidate — it joins the ring only
+   after room has been made. *)
+module Clock = struct
+  type key = int64 * float
+  type 'v entry = { cv : 'v; mutable used : bool }
 
-let clock_find tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some e ->
-    e.used <- true;
-    Some e.cv
-  | None -> None
+  type 'v t = {
+    tbl : (key, 'v entry) Hashtbl.t;
+    ring : key Queue.t;
+    cap : int;
+  }
 
-let clock_insert tbl ring ~cap key v =
-  if Hashtbl.length tbl >= cap then begin
-    (* Terminates: a full rotation clears every [used] flag it sees, so
-       within 2·|ring| pops a cold entry is found. *)
-    let budget = ref (2 * Queue.length ring) in
-    let evicted = ref false in
-    while (not !evicted) && !budget > 0 do
-      decr budget;
-      match Queue.pop ring with
-      | exception Queue.Empty -> evicted := true
-      | k -> (
-        match Hashtbl.find_opt tbl k with
-        | Some e when e.used ->
-          e.used <- false;
-          Queue.add k ring
-        | Some _ ->
-          Hashtbl.remove tbl k;
-          evicted := true
-        | None -> ())
-    done
-  end;
-  Hashtbl.add tbl key { cv = v; used = false };
-  Queue.add key ring
+  let create ~cap = { tbl = Hashtbl.create 64; ring = Queue.create (); cap }
+
+  let insert c key v =
+    if Hashtbl.length c.tbl >= c.cap then begin
+      (* Terminates: a full rotation clears every [used] flag it sees, so
+         within 2·|ring| pops a cold entry is found. *)
+      let budget = ref (2 * Queue.length c.ring) in
+      let evicted = ref false in
+      while (not !evicted) && !budget > 0 do
+        decr budget;
+        match Queue.pop c.ring with
+        | exception Queue.Empty -> evicted := true
+        | k -> (
+          match Hashtbl.find_opt c.tbl k with
+          | Some e when e.used ->
+            e.used <- false;
+            Queue.add k c.ring
+          | Some _ ->
+            Hashtbl.remove c.tbl k;
+            evicted := true
+          | None -> ())
+      done
+    end;
+    Hashtbl.add c.tbl key { cv = v; used = false };
+    Queue.add key c.ring
+
+  (* The cached value for [key], or [compute ()] inserted under it. *)
+  let get c key compute =
+    match Hashtbl.find_opt c.tbl key with
+    | Some e ->
+      e.used <- true;
+      e.cv
+    | None ->
+      let v = compute () in
+      insert c key v;
+      v
+
+  let length c = Hashtbl.length c.tbl
+
+  let clear c =
+    Hashtbl.reset c.tbl;
+    Queue.clear c.ring
+end
 
 (* Process-wide factorisation store shared across independent caches
    (and, in the serve daemon, across requests): a lock-striped bounded
@@ -288,39 +310,25 @@ module Fstore = struct
 end
 
 module Fcache = struct
-  type nonrec t = {
-    tbl : (int64 * float, factored centry) Hashtbl.t;
-    ring : (int64 * float) Queue.t;
-    cap : int;
-    store : Fstore.t option;
-  }
+  type t = { clock : factored Clock.t; store : Fstore.t option }
 
-  let create ?(cap = 4096) ?store () =
-    { tbl = Hashtbl.create 64; ring = Queue.create (); cap; store }
+  let create ?(cap = 4096) ?store () = { clock = Clock.create ~cap; store }
 
   let get c ?fp rc ~step =
     let fp = match fp with Some f -> f | None -> Rcnet.fingerprint rc in
     let key = (fp, step) in
-    match clock_find c.tbl key with
-    | Some f -> f
-    | None -> (
-      (* A cached factor is bit-identical to a recomputed one, so the
-         shared store changes wall-clock only, never numerics. *)
-      match Option.bind c.store (fun s -> Fstore.find s key) with
-      | Some f ->
-        clock_insert c.tbl c.ring ~cap:c.cap key f;
-        f
-      | None ->
-        let f = factor ~step rc in
-        clock_insert c.tbl c.ring ~cap:c.cap key f;
-        Option.iter (fun s -> Fstore.add s key f) c.store;
-        f)
+    Clock.get c.clock key (fun () ->
+        (* A cached factor is bit-identical to a recomputed one, so the
+           shared store changes wall-clock only, never numerics. *)
+        match Option.bind c.store (fun s -> Fstore.find s key) with
+        | Some f -> f
+        | None ->
+          let f = factor ~step rc in
+          Option.iter (fun s -> Fstore.add s key f) c.store;
+          f)
 
-  let length c = Hashtbl.length c.tbl
-
-  let clear c =
-    Hashtbl.reset c.tbl;
-    Queue.clear c.ring
+  let length c = Clock.length c.clock
+  let clear c = Clock.clear c.clock
 end
 
 (* Steps composed arithmetically (mult *. step /. mult, corner scaling…)
@@ -845,29 +853,15 @@ module Flat = struct
     done
 
   module Fcache = struct
-    type t = {
-      tbl : (int64 * float, ffactored centry) Hashtbl.t;
-      ring : (int64 * float) Queue.t;
-      cap : int;
-    }
+    type t = ffactored Clock.t
 
-    let create ?(cap = 4096) () =
-      { tbl = Hashtbl.create 64; ring = Queue.create (); cap }
+    let create ?(cap = 4096) () = Clock.create ~cap
 
     let get c (p : Rcflat.t) ~si ~step =
-      let key = (p.Rcflat.fp.(si), step) in
-      match clock_find c.tbl key with
-      | Some f -> f
-      | None ->
-        let f = factor p ~si ~step in
-        clock_insert c.tbl c.ring ~cap:c.cap key f;
-        f
+      Clock.get c (p.Rcflat.fp.(si), step) (fun () -> factor p ~si ~step)
 
-    let length c = Hashtbl.length c.tbl
-
-    let clear c =
-      Hashtbl.reset c.tbl;
-      Queue.clear c.ring
+    let length = Clock.length
+    let clear = Clock.clear
   end
 
   (* Same arithmetic as the boxed [stage_tau] on bit-identical inputs, so
@@ -1000,42 +994,4 @@ module Flat = struct
     let ws = match ws with Some w -> w | None -> domain_workspace () in
     let prepped = prep ?step ?mode ~fcache ~scratch:ws p ~si ~r_drv in
     solve_prepped ?step ?max_steps ~ws p ~si ~prepped ~r_drv ~s_drv
-
-  let probe ?(step = default_step) ~fcache ?ws (p : Rcflat.t) ~si ~r_drv
-      ~s_drv ~node ~times =
-    let f = Fcache.get fcache p ~si ~step in
-    let g0 = 1. /. r_drv in
-    let n = p.Rcflat.size.(si) in
-    let node = f.fpos.(node) in
-    let v, r =
-      match ws with
-      | Some w ->
-        grow w ~n ~w:0;
-        (w.v, w.r)
-      | None -> (Array.make (Int.max n 1) 0., Array.make (Int.max n 1) 0.)
-    in
-    Array.fill v 0 n 0.;
-    Array.fill r 0 n 0.;
-    let ramp = s_drv /. 0.8 in
-    let nt = Array.length times in
-    let out = Array.make nt 0. in
-    let order = Array.init nt (fun i -> i) in
-    Array.sort (fun a b -> Float.compare times.(a) times.(b)) order;
-    let t_end = if nt = 0 then 0. else times.(order.(nt - 1)) in
-    let t = ref 0. in
-    let k = ref 0 in
-    while !t < t_end && !k < nt do
-      let t1 = !t +. step in
-      step_solve f ~g0 ~vs:(ramp_voltage ~ramp t1) ~vin:v ~vout:v ~r;
-      while !k < nt && times.(order.(!k)) <= t1 do
-        out.(order.(!k)) <- v.(node);
-        incr k
-      done;
-      t := t1
-    done;
-    while !k < nt do
-      out.(order.(!k)) <- v.(node);
-      incr k
-    done;
-    out
 end

@@ -221,11 +221,4 @@ module Flat : sig
     ?step:float -> ?mode:mode -> ?max_steps:int -> fcache:Fcache.t ->
     ?ws:workspace -> Rcflat.t -> si:int -> r_drv:float -> s_drv:float ->
     (float * float) array
-
-  (** Flat analogue of {!probe}: waveform of stage-local rc node [node]
-      of stage [si], fixed fine rate. *)
-  val probe :
-    ?step:float -> fcache:Fcache.t -> ?ws:workspace -> Rcflat.t -> si:int ->
-    r_drv:float -> s_drv:float -> node:int -> times:float array ->
-    float array
 end

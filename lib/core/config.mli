@@ -7,9 +7,11 @@ type t = {
   engine : Analysis.Evaluator.engine;
       (** evaluation engine for every CNE (default [Spice]) *)
   flat : bool;
-      (** run the [Spice] engine through the flat-arena streaming kernel
-          ({!Analysis.Rcflat} pool + {!Analysis.Transient.Flat} marches)
-          instead of boxed per-stage records; results agree to
+      (** which kernel marches a [Spice] stage: the streaming kernel
+          over the stage's slice of the {!Analysis.Rcflat} pool
+          ({!Analysis.Transient.Flat}) instead of the boxed kernel on a
+          copy of the stage. Every engine evaluates over the same pool
+          either way; only the march differs. Results agree to
           sub-femtosecond (~1e-6 ps at 100K-node stages), throughput at
           100K+ RC nodes is several times higher. Ignored by the model
           engines (default false) *)

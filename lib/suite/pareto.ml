@@ -324,15 +324,8 @@ let to_json r =
       ("points", Json.List (List.map point_json r.pr_points));
     ]
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let write_json ~out_dir r =
-  mkdir_p out_dir;
+  Core.Persist.mkdir_p out_dir;
   let path = Filename.concat out_dir (r.pr_bench ^ ".pareto.json") in
   Core.Persist.write_atomic path (Json.to_string (to_json r));
   path

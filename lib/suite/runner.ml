@@ -117,13 +117,6 @@ let sanitize name =
       | _ -> '_')
     name
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* ------------------------------------------------------------------ *)
 (* JSONL telemetry                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -349,7 +342,7 @@ let run_one ~timeout ~config ~store ~resume (spec, trace_path, checkpoint_dir) =
 
 let run ?(out_dir = "bench_out") ?timeout ?jobs ?(config = Core.Config.default)
     ?checkpoints ?(resume = false) specs =
-  mkdir_p out_dir;
+  Core.Persist.mkdir_p out_dir;
   let t0 = Core.Monoclock.now () in
   (* Unique trace paths (and checkpoint directories) even when the same
      benchmark appears twice. *)

@@ -263,25 +263,6 @@ let test_flat_kernel_matches_boxed () =
     boxed;
   check_bool "per-stage flat solve = boxed solve" true !ok
 
-let test_flat_probe_matches_boxed () =
-  let tree = rich_tree () in
-  let p = Rcflat.compile (Arena.compile tree) in
-  let rc = (List.hd (Rcnet.stages tree)).Rcnet.rc in
-  let times = [| 5.; 20.; 80.; 200.; 600. |] in
-  let node = rc.Rcnet.size - 1 in
-  let vb = Transient.probe rc ~r_drv:120. ~s_drv:8. ~node ~times in
-  let fcache = Transient.Flat.Fcache.create () in
-  let vf =
-    Transient.Flat.probe ~fcache p ~si:0 ~r_drv:120. ~s_drv:8. ~node ~times
-  in
-  Array.iteri
-    (fun i v ->
-      check_bool
-        (Printf.sprintf "waveform sample %d matches" i)
-        true
-        (Float.abs (v -. vf.(i)) <= 1e-9))
-    vb
-
 (* ---------- Whole-tree flat evaluation oracles ---------- *)
 
 let test_flat_evaluate_oracle () =
@@ -384,8 +365,6 @@ let () =
         [
           Alcotest.test_case "flat solve = boxed solve" `Quick
             test_flat_kernel_matches_boxed;
-          Alcotest.test_case "flat probe = boxed probe" `Quick
-            test_flat_probe_matches_boxed;
         ] );
       ( "evaluator",
         [

@@ -222,34 +222,6 @@ let test_step_epsilon_match () =
   in
   check_int "probe with shared factorisation" 2 (Array.length v)
 
-(* ---------- session probe uses the cache (satellite) ---------- *)
-
-let test_session_probe () =
-  let module Ev = Analysis.Evaluator in
-  let tech = Tech.default45 () in
-  let tree =
-    Ctree.Tree.create ~tech ~source_pos:(Geometry.Point.make 0 0)
-  in
-  ignore
-    (Ctree.Tree.add_node tree
-       ~kind:(Ctree.Tree.Sink { Ctree.Tree.cap = 15.; parity = 0; label = "s" })
-       ~pos:(Geometry.Point.make 200_000 0) ~parent:(Ctree.Tree.root tree) ());
-  let session = Ev.Incremental.create tree in
-  let rc = long_chain_rc 50 in
-  let direct =
-    Tr.probe rc ~r_drv:150. ~s_drv:20. ~node:49 ~times:[| 50.; 200.; 800. |]
-  in
-  let via_session =
-    Ev.Incremental.probe session rc ~r_drv:150. ~s_drv:20. ~node:49
-      ~times:[| 50.; 200.; 800. |]
-  in
-  Array.iteri
-    (fun i v ->
-      check_bool "session probe matches direct" true (v = via_session.(i)))
-    direct;
-  check_bool "probe populated the session factor cache" true
-    ((Ev.Incremental.stats session).Ev.factored_entries > 0)
-
 let () =
   Alcotest.run "transient-adaptive"
     [
@@ -273,6 +245,5 @@ let () =
             test_workspace_reuse_identical;
           Alcotest.test_case "fcache" `Quick test_fcache_identical_and_bounded;
           Alcotest.test_case "step epsilon" `Quick test_step_epsilon_match;
-          Alcotest.test_case "session probe" `Quick test_session_probe;
         ] );
     ]
