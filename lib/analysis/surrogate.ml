@@ -13,29 +13,31 @@ module Tree = Ctree.Tree
    each other; the scale-aware ridge in [ols] covers the rest. *)
 let dim = 8
 
-type node_state = { len : float; cap : float; r : float; cin : float }
+(* Per-node electrical state, [stride] floats per touched node: wire
+   length (µm), wire cap (fF), driver output resistance (kΩ), buffer
+   input cap (fF). Ids that do not exist on [tree] (a rolled-back
+   [split_wire]'s fresh node) or are out of range stay zero. *)
+let stride = 4
 
-let zero_state = { len = 0.; cap = 0.; r = 0.; cin = 0. }
+let fill tree id dst o =
+  if id < 0 || id >= Tree.size tree then Array.fill dst o stride 0.
+  else begin
+    let node = Tree.node tree id in
+    dst.(o) <- float_of_int (Tree.wire_len node) /. 1000.;
+    dst.(o + 1) <- Tree.wire_cap tree node;
+    match node.Tree.kind with
+    | Tree.Buffer b ->
+      dst.(o + 2) <- Tech.Composite.r_out b /. 1000.;
+      dst.(o + 3) <- Tech.Composite.c_in b
+    | Tree.Source | Tree.Internal | Tree.Sink _ ->
+      dst.(o + 2) <- 0.;
+      dst.(o + 3) <- 0.
+  end
 
-let capture tree ids =
-  let n = Tree.size tree in
-  Array.of_list
-    (List.map
-       (fun id ->
-         if id < 0 || id >= n then zero_state
-         else begin
-           let node = Tree.node tree id in
-           let len = float_of_int (Tree.wire_len node) /. 1000. in
-           let cap = Tree.wire_cap tree node in
-           match node.Tree.kind with
-           | Tree.Buffer b ->
-             { len; cap;
-               r = Tech.Composite.r_out b /. 1000.;
-               cin = Tech.Composite.c_in b }
-           | Tree.Source | Tree.Internal | Tree.Sink _ ->
-             { len; cap; r = 0.; cin = 0. }
-         end)
-       ids)
+let snapshot tree ids =
+  let dst = Array.make (stride * List.length ids) 0. in
+  List.iteri (fun k id -> fill tree id dst (stride * k)) ids;
+  dst
 
 let position_fn (ev : Evaluator.t) =
   let lat = (Evaluator.nominal_run ev Evaluator.Rise).Evaluator.latency in
@@ -49,15 +51,17 @@ let position_fn (ev : Evaluator.t) =
       else Float.max (-1.) (Float.min 1. ((l -. mid) /. half))
     end
 
-let features ~pos ~ids ~pre ~post =
+let edit_features ~pos ~ids ~post tree =
   let x = Array.make dim 0. in
+  let pre = Array.make stride 0. in
   List.iteri
-    (fun i id ->
-      let a = pre.(i) and b = post.(i) in
-      let dlen = b.len -. a.len in
-      let dcap = b.cap -. a.cap in
-      let dr = b.r -. a.r in
-      let dcin = b.cin -. a.cin in
+    (fun k id ->
+      let o = stride * k in
+      fill tree id pre 0;
+      let dlen = post.(o) -. pre.(0) in
+      let dcap = post.(o + 1) -. pre.(1) in
+      let dr = post.(o + 2) -. pre.(2) in
+      let dcin = post.(o + 3) -. pre.(3) in
       let p = pos id in
       x.(0) <- x.(0) +. dlen;
       x.(1) <- x.(1) +. dcap;
@@ -66,7 +70,8 @@ let features ~pos ~ids ~pre ~post =
       x.(4) <- x.(4) +. (p *. dlen);
       x.(5) <- x.(5) +. (p *. dcap);
       x.(6) <- x.(6) +. (p *. dr);
-      x.(7) <- x.(7) +. (p *. ((b.len *. b.len) -. (a.len *. a.len))))
+      x.(7) <-
+        x.(7) +. (p *. ((post.(o) *. post.(o)) -. (pre.(0) *. pre.(0)))))
     ids;
   x
 

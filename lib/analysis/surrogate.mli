@@ -26,17 +26,14 @@
 
 module Tree = Ctree.Tree
 
-(** Number of features in a vector (see {!features}). *)
+(** Number of features in a vector (see {!edit_features}). *)
 val dim : int
 
-(** Per-node electrical state captured over a journal's touched set;
-    ids that do not exist (a rolled-back [split_wire]'s fresh node) or
-    are out of range contribute zeros. *)
-type node_state
-
-(** [capture tree ids] — snapshot wire length/cap and driver strength
-    of each touched node; order follows [ids]. *)
-val capture : Tree.t -> int list -> node_state array
+(** [snapshot tree ids] — the post-edit capture of a probe: wire
+    length/cap and driver strength of each touched node, packed
+    [ids]-ordered into one flat float array. Ids that do not exist on
+    [tree] or are out of range contribute zeros. *)
+val snapshot : Tree.t -> int list -> float array
 
 (** Latency-position weight from a baseline evaluation: node id ↦
     position of its nominal arrival inside the [t_min, t_max] window,
@@ -45,13 +42,15 @@ val capture : Tree.t -> int list -> node_state array
     latency weigh 0. *)
 val position_fn : Evaluator.t -> int -> float
 
-(** Feature vector of one candidate edit: unweighted and
-    position-weighted deltas between the pre- and post-edit captures of
-    the same touched set (see doc/EXTENDING.md for the exact layout).
-    [pre] and [post] must come from {!capture} over the same [ids]. *)
-val features :
-  pos:(int -> float) -> ids:int list -> pre:node_state array ->
-  post:node_state array -> float array
+(** Feature vector of one candidate edit (see doc/EXTENDING.md for the
+    layout): unweighted and position-weighted deltas between [post] —
+    the {!snapshot} of [ids] taken after the edit — and the same nodes'
+    state read off [tree], which must be the restored pre-edit tree.
+    Ids missing from [tree] (a rolled-back node insertion) read as
+    zeros. *)
+val edit_features :
+  pos:(int -> float) -> ids:int list -> post:float array -> Tree.t ->
+  float array
 
 (** Closed-form ordinary least squares used by the refit: returns the
     [dim samples + 1] coefficient vector (bias term last) minimising

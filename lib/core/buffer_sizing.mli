@@ -29,3 +29,11 @@ val run :
 val speedup :
   Config.t -> Ctree.Tree.t -> baseline:Analysis.Evaluator.t ->
   Analysis.Evaluator.t * int
+
+(** One speed-up apply (no IVC): upsize, by [1 + 0.2 * scale], every
+    buffer whose slow-down slack is below a quarter of the skew and
+    whose Elmore gain clearly beats its input-cap cost. [slacks]/[sens]
+    come from the round's plan. Buffer rescales only (value edits). *)
+val speedup_pass :
+  Config.t -> Ctree.Tree.t -> slacks:Slack.t -> sens:Probes.sens ->
+  scale:float -> unit

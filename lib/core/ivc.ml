@@ -157,35 +157,39 @@ let measured_delta objective ~baseline (ev : Evaluator.t) =
   | Insertion_delay -> ev.Evaluator.t_max -. baseline.Evaluator.t_max
 
 (* Cheap feature probe: apply the candidate under a journal, snapshot
-   the touched nodes' electrical state, roll back through the session
-   hooks (so the dirty-anchor chain survives), snapshot the same nodes
-   again on the restored tree. No evaluation anywhere — the probe costs
-   tree surgery only. *)
+   the touched nodes' post-edit state, roll back, and read the pre-edit
+   state off the restored tree. No evaluation anywhere — the probe costs
+   the candidate's closure plus tree surgery. The rollback is reported
+   with the journal's own base revision (the session's anchor: the
+   apply itself was never reported), so the next evaluation stays on
+   the session's dirty path. Returns the features and, when the probe
+   journal is value-only and consistent, the closed journal — replaying
+   it applies the same candidate without running the closure again. *)
 let probe_features config tree ~pos apply =
   let h = hooks config in
-  let abandon () =
-    h.Speculate.note ~edits:None ~new_revision:(Tree.revision tree)
-  in
   let j = Tree.Journal.start tree in
-  match apply tree with
-  | exception e ->
-    (try rollback config tree j
-     with Invalid_argument _ ->
-       Tree.Journal.abandon j;
-       abandon ());
-    raise e
-  | () ->
-    let ids = Tree.Journal.touched j in
-    let post = Surrogate.capture tree ids in
-    (try rollback config tree j
+  let undo () =
+    let hint = Speculate.hint_of_journal j in
+    (try Tree.Journal.rollback j
      with Invalid_argument _ as e ->
        (* A journal bypass on the main tree is the same fatal condition
           the serial explorer reports — never corrupt silently. *)
        Tree.Journal.abandon j;
-       abandon ();
+       h.Speculate.note ~edits:None ~new_revision:(Tree.revision tree);
        raise e);
-    let pre = Surrogate.capture tree ids in
-    Surrogate.features ~pos ~ids ~pre ~post
+    h.Speculate.note ~edits:hint ~new_revision:(Tree.revision tree);
+    hint
+  in
+  match apply tree with
+  | exception e ->
+    (try ignore (undo ()) with Invalid_argument _ -> ());
+    raise e
+  | () ->
+    let ids = Tree.Journal.touched j in
+    let post = Surrogate.snapshot tree ids in
+    let hint = undo () in
+    ( Surrogate.edit_features ~pos ~ids ~post tree,
+      Option.map (fun _ -> j) hint )
 
 let speculate config tree ~baseline ~objective candidates =
   check_deadline config;
@@ -221,7 +225,19 @@ let speculate config tree ~baseline ~objective candidates =
     let k = Array.length candidates in
     let key = surrogate_key tree objective in
     let pos = Surrogate.position_fn baseline in
-    let feats = Array.map (probe_features config tree ~pos) candidates in
+    let probes = Array.map (probe_features config tree ~pos) candidates in
+    let feats = Array.map fst probes in
+    (* Apply each probed candidate once: a value-only probe journal is
+       replayed (its net edit, under the evaluation's journal) instead
+       of running the candidate's closure a second time. *)
+    let candidates =
+      Array.map2
+        (fun apply (_, replay) ->
+          match replay with
+          | Some pj -> fun t -> Tree.Journal.replay pj ~onto:t
+          | None -> apply)
+        candidates probes
+    in
     let observe i (o : Speculate.outcome) =
       Surrogate.observe state ~key feats.(i)
         (measured_delta objective ~baseline o.Speculate.ev)

@@ -55,7 +55,10 @@ val evaluate :
 (** Roll a journal back and report the rollback to the configured
     session so its dirty-anchor chain stays unbroken. Use this (not
     {!Ctree.Tree.Journal.rollback} directly) to undo exploratory edits
-    made outside {!attempt} — e.g. probe calibrations.
+    made outside {!attempt} — e.g. probe calibrations. The rollback is
+    reported from the tree's current revision, so the journaled edit
+    must already have been reported — evaluated with
+    [evaluate ~journal] — or the session drops its anchor.
     @raise Invalid_argument if the journal is inconsistent. *)
 val rollback : Config.t -> Ctree.Tree.t -> Ctree.Tree.journal -> unit
 

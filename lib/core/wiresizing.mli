@@ -29,3 +29,13 @@ val estimate_tws :
 (** Run TWSZ in place. *)
 val run :
   Config.t -> Ctree.Tree.t -> baseline:Analysis.Evaluator.t -> result
+
+(** One top-down downsizing pass of Algorithm 1 (no IVC) — the apply
+    half of a TWSZ round, exposed for experiments. [slacks], [headrooms]
+    and [sens] are the round plan's analyses ({!Slack.combined},
+    {!Probes.subtree_slew_headroom}, {!Probes.sensitivities}); [count]
+    accumulates the downsize operations. Value edits only. *)
+val downsizing_pass :
+  Config.t -> Ctree.Tree.t -> slacks:Slack.t -> headrooms:float array ->
+  sens:Probes.sens -> correction:float -> scale:float -> count:int ref ->
+  unit

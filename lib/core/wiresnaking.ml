@@ -136,18 +136,28 @@ let bottom_pass config tree ~slacks ~headrooms ~sens ~correction ~scale
       end)
     (Tree.sinks tree)
 
+let plan_slacks config tree eval =
+  let slacks =
+    Slack.combined ~multicorner:config.Config.multicorner_slacks tree eval
+  in
+  (slacks, Probes.subtree_slew_headroom tree eval)
+
+let plan_arrays config tree eval =
+  let slacks, headrooms = plan_slacks config tree eval in
+  (slacks, headrooms, Probes.sensitivities tree)
+
 (* Slew-recovery round: when fast sinks still hold slow-down slack but
    their wires are slew-pinned (tap slew at the limit), strengthen the
    stage driver — recovering headroom — and immediately re-snake in the
    same IVC round (upsizing alone would speed the subtree up and be
-   rejected). Self-contained (runs entirely inside the candidate closure):
-   the re-snaking sensitivities must be computed {e after} the upsizing. *)
-let recovery_pass config tree ~eval ~correction ~scale ~count ~added =
+   rejected). The plan picks the drivers once per round. Slacks and
+   headrooms read only topology, node kinds and the baseline eval, which
+   a buffer rescale leaves alone, so the plan's arrays still hold after
+   the upsizing; the sensitivities read driver strength and are
+   recomputed by the apply. *)
+let recovery_plan config tree eval =
   let tech = Tree.tech tree in
-  let slacks =
-    Slack.combined ~multicorner:config.Config.multicorner_slacks tree eval
-  in
-  let headrooms = Probes.subtree_slew_headroom tree eval in
+  let slacks, headrooms = plan_slacks config tree eval in
   let rec driver_of i =
     let nd = Tree.node tree i in
     if nd.Tree.parent < 0 then None
@@ -167,29 +177,24 @@ let recovery_pass config tree ~eval ~correction ~scale ~count ~added =
         | Some b -> Hashtbl.replace to_upsize b ()
         | None -> ())
     (Tree.sinks tree);
-  Hashtbl.iter
-    (fun b () ->
+  let drivers =
+    List.rev (Hashtbl.fold (fun b () acc -> b :: acc) to_upsize [])
+  in
+  (drivers, slacks, headrooms)
+
+let recovery_pass config tree ~drivers ~slacks ~headrooms ~correction ~scale
+    ~count ~added =
+  List.iter
+    (fun b ->
       match (Tree.node tree b).Tree.kind with
       | Tree.Buffer buf ->
         Tree.set_buffer tree b
           (Tech.Composite.scale buf (1. +. (0.4 *. scale)))
       | _ -> ())
-    to_upsize;
-  let slacks =
-    Slack.combined ~multicorner:config.Config.multicorner_slacks tree eval
-  in
-  let headrooms = Probes.subtree_slew_headroom tree eval in
+    drivers;
   let sens = Probes.sensitivities tree in
   topdown_pass config tree ~slacks ~headrooms ~sens ~correction ~scale ~count
     ~added
-
-let plan_arrays config tree eval =
-  let slacks =
-    Slack.combined ~multicorner:config.Config.multicorner_slacks tree eval
-  in
-  let headrooms = Probes.subtree_slew_headroom tree eval in
-  let sens = Probes.sensitivities tree in
-  (slacks, headrooms, sens)
 
 let run config tree ~baseline =
   let twn, correction = estimate_twn config tree ~baseline in
@@ -207,9 +212,11 @@ let run config tree ~baseline =
   (* Alternate slew-recovery and plain rounds until neither helps. *)
   let eval, extra, _ =
     Ivc.adaptive_iterate config tree ~baseline:eval ~objective:Ivc.Skew
-      (fun _t ev ->
+      (fun t ev ->
+        let drivers, slacks, headrooms = recovery_plan config t ev in
         fun ~scale t ->
-          recovery_pass config t ~eval:ev ~correction ~scale ~count ~added)
+          recovery_pass config t ~drivers ~slacks ~headrooms ~correction
+            ~scale ~count ~added)
   in
   let eval, more, _ =
     if extra > 0 then

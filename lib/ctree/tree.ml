@@ -43,6 +43,7 @@ and journal = {
   mutable j_ops : int; (* recorded touch sites *)
   mutable j_value_only : bool; (* no structural edit recorded *)
   mutable j_touched : int list;
+  mutable j_sorted : int list option; (* [touched] memo, reset by [jrecord] *)
   mutable j_redo : entry list; (* captured at rollback/commit *)
   mutable j_closed : bool;
 }
@@ -86,7 +87,8 @@ let jrecord t ?(structural = false) ~touched entries =
     j.j_undo <- List.rev_append entries j.j_undo;
     j.j_ops <- j.j_ops + 1;
     if structural then j.j_value_only <- false;
-    j.j_touched <- List.rev_append touched j.j_touched
+    j.j_touched <- List.rev_append touched j.j_touched;
+    j.j_sorted <- None
 
 let node t i =
   if i < 0 || i >= t.n then invalid_arg (Printf.sprintf "Tree.node: id %d" i);
@@ -838,7 +840,7 @@ module Journal = struct
     let j =
       { j_tree = tree; j_base_rev = tree.revision; j_base_n = tree.n;
         j_undo = []; j_ops = 0; j_value_only = true; j_touched = [];
-        j_redo = []; j_closed = false }
+        j_sorted = None; j_redo = []; j_closed = false }
     in
     tree.journal <- Some j;
     j
@@ -846,7 +848,13 @@ module Journal = struct
   let base_revision j = j.j_base_rev
   let ops j = j.j_ops
   let value_only j = j.j_value_only
-  let touched j = List.sort_uniq compare j.j_touched
+  let touched j =
+    match j.j_sorted with
+    | Some l -> l
+    | None ->
+      let l = List.sort_uniq Int.compare j.j_touched in
+      j.j_sorted <- Some l;
+      l
 
   (* Every mutation since [start] went through a journaled mutator: each
      one bumped [revision] exactly once and recorded exactly one op.
@@ -866,25 +874,38 @@ module Journal = struct
     | E_n n -> t.n <- n
     | E_nodes _ -> ()
 
+  (* [e]'s (node, field) at its value on [t] now. *)
+  let current t = function
+    | E_kind (i, _) -> E_kind (i, t.nodes.(i).kind)
+    | E_parent (i, _) -> E_parent (i, t.nodes.(i).parent)
+    | E_children (i, _) -> E_children (i, t.nodes.(i).children)
+    | E_wire_class (i, _) -> E_wire_class (i, t.nodes.(i).wire_class)
+    | E_geom_len (i, _) -> E_geom_len (i, t.nodes.(i).geom_len)
+    | E_snake (i, _) -> E_snake (i, t.nodes.(i).snake)
+    | E_route (i, _) -> E_route (i, t.nodes.(i).route)
+    | E_n _ -> E_n t.n
+    | E_nodes _ -> invalid_arg "Tree.Journal: appended nodes have no field"
+
   (* Final values for every (node, field) the journal touched, plus copies
      of appended nodes — enough to replay the net edit onto any tree that
      is content-identical to the base state. *)
   let capture_redo j =
     let t = j.j_tree in
-    let seen = Hashtbl.create 16 in
+    let seen = Hashtbl.create (max 16 j.j_ops) in
     let redo = ref [] in
     List.iter
       (fun e ->
+        (* (node, field) packed into one int: node ids are >= 0. *)
         let key =
           match e with
-          | E_kind (i, _) -> Some (0, i)
-          | E_parent (i, _) -> Some (1, i)
-          | E_children (i, _) -> Some (2, i)
-          | E_wire_class (i, _) -> Some (3, i)
-          | E_geom_len (i, _) -> Some (4, i)
-          | E_snake (i, _) -> Some (5, i)
-          | E_route (i, _) -> Some (6, i)
-          | E_n _ -> Some (7, 0)
+          | E_kind (i, _) -> Some (i lsl 3)
+          | E_parent (i, _) -> Some ((i lsl 3) lor 1)
+          | E_children (i, _) -> Some ((i lsl 3) lor 2)
+          | E_wire_class (i, _) -> Some ((i lsl 3) lor 3)
+          | E_geom_len (i, _) -> Some ((i lsl 3) lor 4)
+          | E_snake (i, _) -> Some ((i lsl 3) lor 5)
+          | E_route (i, _) -> Some ((i lsl 3) lor 6)
+          | E_n _ -> Some 7
           | E_nodes _ -> None
         in
         match key with
@@ -892,19 +913,7 @@ module Journal = struct
         | Some k ->
           if not (Hashtbl.mem seen k) then begin
             Hashtbl.add seen k ();
-            let cur =
-              match e with
-              | E_kind (i, _) -> E_kind (i, t.nodes.(i).kind)
-              | E_parent (i, _) -> E_parent (i, t.nodes.(i).parent)
-              | E_children (i, _) -> E_children (i, t.nodes.(i).children)
-              | E_wire_class (i, _) -> E_wire_class (i, t.nodes.(i).wire_class)
-              | E_geom_len (i, _) -> E_geom_len (i, t.nodes.(i).geom_len)
-              | E_snake (i, _) -> E_snake (i, t.nodes.(i).snake)
-              | E_route (i, _) -> E_route (i, t.nodes.(i).route)
-              | E_n _ -> E_n t.n
-              | E_nodes _ -> assert false
-            in
-            redo := cur :: !redo
+            redo := current t e :: !redo
           end)
       j.j_undo;
     if t.n > j.j_base_n then
@@ -946,21 +955,39 @@ module Journal = struct
   let replay j ~onto =
     if not j.j_closed then
       invalid_arg "Tree.Journal.replay: commit or roll back first";
-    if onto.journal <> None then
-      invalid_arg "Tree.Journal.replay: target has an active journal";
     if onto.n <> j.j_base_n then
       invalid_arg "Tree.Journal.replay: target size differs from base";
-    List.iter
-      (fun e ->
-        match e with
-        | E_nodes nodes ->
-          Array.iter
-            (fun nd ->
-              grow onto;
-              onto.nodes.(onto.n) <- copy_node nd;
-              onto.n <- onto.n + 1)
-            nodes
-        | e -> apply_undo onto e)
-      j.j_redo;
-    touch onto
+    match onto.journal with
+    | Some _ when not j.j_value_only ->
+      invalid_arg
+        "Tree.Journal.replay: structural redo log under an active journal"
+    | Some _ ->
+      (* Journaled replay: each value entry is one mutation site, exactly
+         as if the public mutator had written it — so the target
+         journal stays consistent, value-only and rollback-able. *)
+      List.iter
+        (fun e ->
+          match e with
+          | E_kind (i, _) | E_wire_class (i, _) | E_geom_len (i, _)
+          | E_snake (i, _) | E_route (i, _) ->
+            jrecord onto ~touched:[ i ] [ current onto e ];
+            apply_undo onto e;
+            touch onto
+          | E_parent _ | E_children _ | E_n _ | E_nodes _ ->
+            invalid_arg "Tree.Journal.replay: structural entry in a value log")
+        j.j_redo
+    | None ->
+      List.iter
+        (fun e ->
+          match e with
+          | E_nodes nodes ->
+            Array.iter
+              (fun nd ->
+                grow onto;
+                onto.nodes.(onto.n) <- copy_node nd;
+                onto.n <- onto.n + 1)
+              nodes
+          | e -> apply_undo onto e)
+        j.j_redo;
+      touch onto
 end

@@ -259,8 +259,16 @@ module Journal : sig
   (** Re-apply the journal's net effect onto a tree that is
       content-identical to the journal's base state (e.g. the main tree
       after the journal ran on a replica). Works after {!rollback} or
-      {!commit}. @raise Invalid_argument if the journal is still open,
-      the target has an active journal, or the target's size differs
-      from the base. *)
+      {!commit}.
+
+      Onto a tree without a journal the whole log lands as one revision
+      bump. Onto a tree with an active journal (a value-only log only)
+      each entry is recorded the way the public mutators record it — one
+      undo entry, one op, one revision bump, the entry's node touched —
+      so the target journal stays {!consistent} and {!value_only} and
+      can be rolled back or turned into a dirty hint.
+      @raise Invalid_argument if the journal is still open, the target's
+      size differs from the base, or the log is structural and the
+      target has an active journal (the target is left untouched). *)
   val replay : journal -> onto:t -> unit
 end

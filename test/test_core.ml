@@ -613,6 +613,59 @@ let flow_qcheck =
       && r.Core.Flow.final.Ev.skew <= initial.Core.Flow.skew +. 1e-6
       && Array.length (Ctree.Tree.sinks r.Core.Flow.tree) = n)
 
+(* The slew-recovery plan computes slacks and headrooms once, before
+   its apply rescales the stage drivers: sound only while both read
+   topology, node kinds and the baseline evaluation, never drive
+   strength. Pin that — and that the sensitivities, which the apply
+   does recompute, do read it. *)
+let test_slacks_ignore_buffer_rescale () =
+  let bits_equal a b =
+    Array.length a = Array.length b
+    && Array.for_all2
+         (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+         a b
+  in
+  List.iter
+    (fun seed ->
+      let sinks = random_sinks seed 30 3_000_000 in
+      let tree, _, _, _ =
+        Core.Flow.initial_tree ~config ~tech ~source:(Point.make 0 1_500_000)
+          sinks
+      in
+      let ev = Ev.evaluate ~engine:Ev.Arnoldi tree in
+      check_bool "multi-corner evaluation" true (List.length ev.Ev.runs >= 4);
+      let analyse () =
+        ( Core.Slack.combined ~multicorner:true tree ev,
+          Core.Slack.combined tree ev,
+          Core.Probes.subtree_slew_headroom tree ev,
+          Core.Probes.sensitivities tree )
+      in
+      let mc0, nom0, head0, (sens0 : Core.Probes.sens) = analyse () in
+      let buffers = Tree.buffer_ids tree in
+      check_bool "tree has buffers" true (Array.length buffers > 0);
+      Array.iteri
+        (fun k id ->
+          match (Tree.node tree id).Tree.kind with
+          | Tree.Buffer b ->
+            Tree.set_buffer tree id
+              (Tech.Composite.scale b (if k mod 2 = 0 then 2. else 0.5))
+          | _ -> ())
+        buffers;
+      let mc1, nom1, head1, (sens1 : Core.Probes.sens) = analyse () in
+      let same_slack what (a : Core.Slack.t) (b : Core.Slack.t) =
+        check_bool (what ^ " slow") true (bits_equal a.slow b.slow);
+        check_bool (what ^ " fast") true (bits_equal a.fast b.fast);
+        check_bool (what ^ " sink_slow") true (bits_equal a.sink_slow b.sink_slow);
+        check_bool (what ^ " sink_fast") true (bits_equal a.sink_fast b.sink_fast)
+      in
+      same_slack "multi-corner slack" mc0 mc1;
+      same_slack "nominal slack" nom0 nom1;
+      check_bool "headroom unchanged" true (bits_equal head0 head1);
+      check_bool "sensitivities follow drive strength" false
+        (bits_equal sens0.snake_delay sens1.snake_delay
+         && bits_equal sens0.size_delay sens1.size_delay))
+    [ 4242; 77; 901 ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "core"
@@ -639,7 +692,9 @@ let () =
       ("probes",
        [ Alcotest.test_case "sensitivities" `Quick test_sensitivities_shape;
          Alcotest.test_case "calibration" `Quick test_probe_calibration;
-         Alcotest.test_case "stage-aware headroom" `Quick test_slew_headroom_stage_aware ]);
+         Alcotest.test_case "stage-aware headroom" `Quick test_slew_headroom_stage_aware;
+         Alcotest.test_case "slacks ignore buffer rescale" `Quick
+           test_slacks_ignore_buffer_rescale ]);
       ("ivc",
        [ Alcotest.test_case "rollback" `Quick test_ivc_rollback;
          Alcotest.test_case "accepts improvement" `Quick test_ivc_accepts_improvement;

@@ -277,6 +277,107 @@ let tree_qcheck =
       Ctree.Validate.check t = []
       && (Ctree.Stats.compute t).Ctree.Stats.wirelength = before)
 
+(* ---------- journaled replay ---------- *)
+
+let seeded_tree seed =
+  let rng = Suite.Rng.create seed in
+  let sinks =
+    Array.init 30 (fun i ->
+        { Dme.Zst.pos =
+            Point.make (Suite.Rng.int rng 3_000_000)
+              (Suite.Rng.int rng 3_000_000);
+          cap = 5. +. (Suite.Rng.float rng *. 25.); parity = 0;
+          label = Printf.sprintf "s%d" i })
+  in
+  let tree, _, _, _ =
+    Core.Flow.initial_tree ~config:Core.Config.default ~tech
+      ~source:(Point.make 0 1_500_000) sinks
+  in
+  tree
+
+(* Value-only candidate closures of the wire and buffer passes, planned
+   on [tree] the way their IVC rounds plan them. *)
+let value_closures tree =
+  let config = Core.Config.default in
+  let ev = Analysis.Evaluator.evaluate ~engine:Analysis.Evaluator.Arnoldi tree in
+  let slacks = Core.Slack.combined ~multicorner:true tree ev in
+  let headrooms = Core.Probes.subtree_slew_headroom tree ev in
+  let sens = Core.Probes.sensitivities tree in
+  let count = ref 0 and added = ref 0 in
+  List.concat_map
+    (fun scale ->
+      [ ( Printf.sprintf "wiresnaking @%g" scale,
+          fun t ->
+            Core.Wiresnaking.topdown_pass config t ~slacks ~headrooms ~sens
+              ~correction:1. ~scale ~count ~added );
+        ( Printf.sprintf "wiresizing @%g" scale,
+          fun t ->
+            Core.Wiresizing.downsizing_pass config t ~slacks ~headrooms ~sens
+              ~correction:1. ~scale ~count );
+        ( Printf.sprintf "buffer sizing @%g" scale,
+          fun t -> Core.Buffer_sizing.speedup_pass config t ~slacks ~sens ~scale
+        ) ])
+    [ 1.; 0.25 ]
+
+(* Replaying a closed value-only journal under a fresh journal is the
+   same edit as running the closure: same content, same touched set, a
+   consistent value-only journal, and a rollback that restores the
+   base. *)
+let test_journaled_replay () =
+  List.iter
+    (fun seed ->
+      let tree = seeded_tree seed in
+      let d0 = Tree.digest tree in
+      List.iter
+        (fun (name, apply) ->
+          let what s = Printf.sprintf "seed %d %s: %s" seed name s in
+          let j = Tree.Journal.start tree in
+          apply tree;
+          let d_apply = Tree.digest tree in
+          let touched = Tree.Journal.touched j in
+          let value_only = Tree.Journal.value_only j in
+          check_bool (what "closure edits the tree") true (touched <> []);
+          check_bool (what "closure is value-only") true value_only;
+          Tree.Journal.rollback j;
+          check_bool (what "probe rollback restores") true
+            (Tree.digest tree = d0);
+          let r = Tree.Journal.start tree in
+          Tree.Journal.replay j ~onto:tree;
+          check_bool (what "replay = closure") true (Tree.digest tree = d_apply);
+          Alcotest.(check (list int)) (what "same touched set") touched
+            (Tree.Journal.touched r);
+          check_bool (what "replay stays value-only") value_only
+            (Tree.Journal.value_only r);
+          check_bool (what "replay journal consistent") true
+            (Tree.Journal.consistent r);
+          Tree.Journal.rollback r;
+          check_bool (what "replay rollback restores") true
+            (Tree.digest tree = d0))
+        (value_closures tree))
+    [ 11; 12; 13 ]
+
+let test_replay_refuses_structural () =
+  let tree = seeded_tree 14 in
+  let sink = (Tree.sinks tree).(0) in
+  let j = Tree.Journal.start tree in
+  let at = (Tree.node tree sink).Tree.geom_len / 2 in
+  ignore (Tree.insert_buffer_on_wire tree sink ~at ~buf:buf8);
+  Tree.Journal.rollback j;
+  check_bool "structural journal" false (Tree.Journal.value_only j);
+  let d0 = Tree.digest tree and rev0 = Tree.revision tree in
+  let r = Tree.Journal.start tree in
+  (match Tree.Journal.replay j ~onto:tree with
+  | () -> Alcotest.fail "structural replay under a journal accepted"
+  | exception Invalid_argument _ -> ());
+  check_bool "tree untouched" true (Tree.digest tree = d0);
+  check_int "revision untouched" rev0 (Tree.revision tree);
+  check_int "nothing recorded" 0 (Tree.Journal.ops r);
+  Tree.Journal.rollback r;
+  (* Without a journal the structural log still replays. *)
+  Tree.Journal.replay j ~onto:tree;
+  check_bool "unjournaled structural replay still applies" true
+    (Tree.digest tree <> d0)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "ctree"
@@ -299,6 +400,11 @@ let () =
          Alcotest.test_case "point along routed wire" `Quick test_point_along_routed_wire;
          Alcotest.test_case "assign independence" `Quick test_assign_independence;
          q tree_qcheck ]);
+      ("journal",
+       [ Alcotest.test_case "journaled replay = closure" `Quick
+           test_journaled_replay;
+         Alcotest.test_case "structural replay refused under a journal"
+           `Quick test_replay_refuses_structural ]);
       ("stats", [ Alcotest.test_case "aggregate" `Quick test_stats ]);
       ("validate", [ Alcotest.test_case "catches corruption" `Quick test_validate_catches ]);
       ("svg",

@@ -94,6 +94,154 @@ let test_widening_and_audit () =
     "audit fires on exactly every 8th hopeless round" [ 16; 8 ]
     !fired
 
+(* ---------- probes: features and the session anchor ---------- *)
+
+let seeded_tree seed =
+  let rng = Suite.Rng.create seed in
+  let sinks =
+    Array.init 30 (fun i ->
+        { Dme.Zst.pos =
+            Geometry.Point.make (Suite.Rng.int rng 3_000_000)
+              (Suite.Rng.int rng 3_000_000);
+          cap = 5. +. (Suite.Rng.float rng *. 25.); parity = 0;
+          label = Printf.sprintf "s%d" i })
+  in
+  let tree, _, _, _ =
+    Core.Flow.initial_tree ~config:Core.Config.default
+      ~tech:(Tech.default45 ()) ~source:(Geometry.Point.make 0 1_500_000)
+      sinks
+  in
+  tree
+
+(* Test-local reference: apply under a journal, capture every touched
+   node's state, roll back, capture again, and sum the deltas. *)
+let reference_features ~pos tree apply =
+  let state id =
+    if id < 0 || id >= Tree.size tree then (0., 0., 0., 0.)
+    else begin
+      let nd = Tree.node tree id in
+      let len = float_of_int (Tree.wire_len nd) /. 1000. in
+      let cap = Tree.wire_cap tree nd in
+      match nd.Tree.kind with
+      | Tree.Buffer b ->
+        (len, cap, Tech.Composite.r_out b /. 1000., Tech.Composite.c_in b)
+      | Tree.Source | Tree.Internal | Tree.Sink _ -> (len, cap, 0., 0.)
+    end
+  in
+  let j = Tree.Journal.start tree in
+  apply tree;
+  let ids = Tree.Journal.touched j in
+  let post = List.map state ids in
+  Tree.Journal.rollback j;
+  let pre = List.map state ids in
+  let x = Array.make Surrogate.dim 0. in
+  List.iter2
+    (fun id ((al, ac, ar, ai), (bl, bc, br, bi)) ->
+      let dlen = bl -. al and dcap = bc -. ac in
+      let dr = br -. ar and dcin = bi -. ai in
+      let p = pos id in
+      x.(0) <- x.(0) +. dlen;
+      x.(1) <- x.(1) +. dcap;
+      x.(2) <- x.(2) +. dr;
+      x.(3) <- x.(3) +. dcin;
+      x.(4) <- x.(4) +. (p *. dlen);
+      x.(5) <- x.(5) +. (p *. dcap);
+      x.(6) <- x.(6) +. (p *. dr);
+      x.(7) <- x.(7) +. (p *. ((bl *. bl) -. (al *. al))))
+    ids (List.combine pre post);
+  x
+
+(* The probe's path: one post-edit snapshot, then the feature pass over
+   the restored tree. *)
+let probe_path_features ~pos tree apply =
+  let j = Tree.Journal.start tree in
+  apply tree;
+  let ids = Tree.Journal.touched j in
+  let post = Surrogate.snapshot tree ids in
+  Tree.Journal.rollback j;
+  Surrogate.edit_features ~pos ~ids ~post tree
+
+let test_feature_oracle () =
+  let bits x = Array.map Int64.bits_of_float x in
+  List.iter
+    (fun seed ->
+      let tree = seeded_tree seed in
+      let config = Core.Config.default in
+      let ev = Ev.evaluate ~engine:Ev.Arnoldi tree in
+      let pos = Surrogate.position_fn ev in
+      let slacks = Core.Slack.combined ~multicorner:true tree ev in
+      let headrooms = Core.Probes.subtree_slew_headroom tree ev in
+      let sens = Core.Probes.sensitivities tree in
+      let count = ref 0 and added = ref 0 in
+      let sink = (Tree.sinks tree).(0) in
+      let candidates =
+        List.concat_map
+          (fun scale ->
+            [ ( "snake",
+                fun t ->
+                  Core.Wiresnaking.topdown_pass config t ~slacks ~headrooms
+                    ~sens ~correction:1. ~scale ~count ~added );
+              ( "size",
+                fun t ->
+                  Core.Wiresizing.downsizing_pass config t ~slacks ~headrooms
+                    ~sens ~correction:1. ~scale ~count );
+              ( "speed-up",
+                fun t ->
+                  Core.Buffer_sizing.speedup_pass config t ~slacks ~sens
+                    ~scale ) ])
+          (* The scale ladder of one adaptive round. *)
+          [ 1.; 0.5; 0.25; 0.125 ]
+        @ [ ( "buffer insertion",
+              fun t ->
+                let at = (Tree.node t sink).Tree.geom_len / 2 in
+                ignore
+                  (Tree.insert_buffer_on_wire t sink ~at
+                     ~buf:(Tech.Composite.make Tech.Device.small_inverter 8))
+            ) ]
+      in
+      List.iter
+        (fun (name, apply) ->
+          let expected = reference_features ~pos tree apply in
+          let got = probe_path_features ~pos tree apply in
+          Alcotest.(check (array int64))
+            (Printf.sprintf "seed %d %s: features bit-identical" seed name)
+            (bits expected) (bits got))
+        candidates)
+    [ 21; 22; 23 ]
+
+(* A probe never reports its apply, so its rollback must be reported
+   from the session's anchor: the next evaluation then takes the dirty
+   path instead of a full re-extraction. *)
+let test_probe_keeps_dirty_path () =
+  let tree = seeded_tree 31 in
+  let session = Ev.Incremental.create ~engine:Ev.Arnoldi tree in
+  let hooks =
+    { Core.Speculate.eval =
+        (fun ?edits t -> Ev.Incremental.refresh ?edits ~tree:t session);
+      note =
+        (fun ~edits ~new_revision ->
+          Ev.Incremental.note_edits session ~edits ~new_revision) }
+  in
+  let config =
+    { Core.Config.scalability with
+      Core.Config.evaluator = Some hooks;
+      surrogate = true;
+      surrogate_state = Some (Surrogate.create ());
+      speculation = 1 }
+  in
+  let baseline = Core.Ivc.evaluate config tree in
+  let s0 = Ev.Incremental.stats session in
+  let sink = (Tree.sinks tree).(0) in
+  let snake t = Tree.set_snake t sink ((Tree.node t sink).Tree.snake + 20_000) in
+  (* Cold model: one probe, then the warm-up scan's one evaluation. *)
+  ignore
+    (Core.Ivc.speculate config tree ~baseline ~objective:Core.Ivc.Skew
+       [| snake |]);
+  let s1 = Ev.Incremental.stats session in
+  check_int "one evaluation" (s0.Ev.refreshes + 1) s1.Ev.refreshes;
+  check_int "it took the dirty path" (s0.Ev.dirty_refreshes + 1)
+    s1.Ev.dirty_refreshes
+
 (* ---------- flow-level oracles ---------- *)
 
 let run_flow ~surrogate ~speculation b =
@@ -199,6 +347,13 @@ let () =
           Alcotest.test_case "ring-buffer recency" `Quick test_ring_recency;
           Alcotest.test_case "widening decay and audit schedule" `Quick
             test_widening_and_audit;
+        ] );
+      ( "probe",
+        [
+          Alcotest.test_case "features match the reference oracle" `Quick
+            test_feature_oracle;
+          Alcotest.test_case "probe keeps the session's dirty path" `Quick
+            test_probe_keeps_dirty_path;
         ] );
       ( "flow",
         [
