@@ -277,13 +277,66 @@ let fan_out_corners tree pass =
   in
   fold [] outcomes
 
-let screen ?(engine = Spice) ?(flat = false) ?seg_len ?transient_step
-    ?transient_mode ~max_slew tree =
+(* Reusable arena + stage pool for stateless evaluation, rebound to each
+   new tree: a recompile grows the buffers only when a tree outgrows
+   them, so repeated screens stop allocating (and stop leaving Bigarrays
+   for the major GC to finalise). Every call borrows one from a
+   lock-guarded free list; [Domain.DLS] would not do, because serve
+   systhreads share a domain and could interleave on one scratch. *)
+module Scratch = struct
+  type t = { mutable pool : Rcflat.t option }
+
+  let bind s ~seg_len tree =
+    match s.pool with
+    | Some p when p.Rcflat.seg_len = seg_len ->
+      Arena.rebind p.Rcflat.arena tree;
+      Rcflat.recompile p;
+      p
+    | _ ->
+      let p = Rcflat.compile ~seg_len (Arena.compile tree) in
+      s.pool <- Some p;
+      p
+
+  (* Largest scratch the free list keeps, in words: 16 per arena node
+     (8 int arrays, 8 float64 Bigarrays) plus 3 per pool slot (res, cap,
+     parent). 8 MB holds every tree the benchmark workloads screen (at
+     most ~4.6K nodes and ~19K slots); a scratch grown past it by a
+     die-scale request goes back to the GC instead of staying resident. *)
+  let max_kept_words = 1 lsl 20
+
+  let words p =
+    (16 * Array.length p.Rcflat.arena.Arena.parent)
+    + (3 * Bigarray.Array1.dim p.Rcflat.res)
+
+  let lock = Mutex.create ()
+  let free = ref []
+
+  let acquire () =
+    Mutex.protect lock (fun () ->
+        match !free with
+        | s :: rest ->
+          free := rest;
+          s
+        | [] -> { pool = None })
+
+  (* A free-listed scratch keeps its capacity but not its last tree. *)
+  let give_back s =
+    match s.pool with
+    | Some p when words p > max_kept_words -> ()
+    | _ ->
+      Option.iter (fun p -> Arena.release p.Rcflat.arena) s.pool;
+      Mutex.protect lock (fun () -> free := s :: !free)
+end
+
+let screen ?(engine = Spice) ?(flat = false) ?(seg_len = Rcnet.default_seg_len)
+    ?transient_step ?transient_mode ~max_slew tree =
   Atomic.incr counter;
-  (* One arena snapshot and one stage pool scoped to this call, read-only
-     while the corners march over it. *)
-  let arena = Arena.compile tree in
-  let pool = Rcflat.compile ?seg_len arena in
+  let s = Scratch.acquire () in
+  Fun.protect ~finally:(fun () -> Scratch.give_back s) @@ fun () ->
+  (* The scratch's arena snapshot and stage pool belong to this call, and
+     stay read-only while the corners march over them. *)
+  let pool = Scratch.bind s ~seg_len tree in
+  let arena = pool.Rcflat.arena in
   let pass solve = propagate ~max_slew ~solve tree arena pool in
   (* One factorisation cache per corner lets its two passes share
      per-stage factorisations (and, in the adaptive modes, the coarse-rate
@@ -821,12 +874,14 @@ module Incremental = struct
       | Some a when Arena.tree a == tree ->
         Arena.sync a;
         a
-      | _ ->
-        (* Rebound to a different tree (or first refresh): the pool holds
-           slices of the old arena, so both are rebuilt. *)
+      | Some a ->
+        (* Rebound to a different tree: recompile in place; the pool
+           below re-extracts from the same arena. *)
+        Arena.rebind a tree;
+        a
+      | None ->
         let a = Arena.compile tree in
         session.arena <- Some a;
-        session.pool <- None;
         a
     in
     let pool =

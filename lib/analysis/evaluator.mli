@@ -74,7 +74,13 @@ type t = {
     scheduling. A call made on a worker domain of any pool
     ({!Domain_pool.on_worker}) runs its corners one after another on
     that domain instead: the outer pool already holds the cores.
-    [evaluate] is [screen ~max_slew:infinity]. *)
+    [evaluate] is [screen ~max_slew:infinity].
+
+    A call borrows its arena snapshot and stage pool from a
+    lock-guarded process-wide free list (safe from any thread or
+    domain) and gives them back, unbound from the tree, when it
+    returns: repeated calls recompile them in place instead of
+    allocating, with results bit-identical to a fresh compile. *)
 val evaluate :
   ?engine:engine -> ?flat:bool -> ?seg_len:int -> ?transient_step:float ->
   ?transient_mode:Transient.mode -> Ctree.Tree.t -> t

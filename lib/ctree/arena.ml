@@ -28,7 +28,7 @@ let k_buffer = 2
 let k_sink = 3
 
 type t = {
-  tree : Tree.t;
+  mutable tree : Tree.t;   (* rebindable: a scratch arena serves many trees *)
   mutable revision : int;  (* tree revision the arrays reflect *)
   mutable n : int;
   (* Topology *)
@@ -121,10 +121,11 @@ let rebuild_chain a id =
   in
   a.first_child.(id) <- link nd.Tree.children
 
+(* Grows the arrays only when capacity is short: a rebound scratch arena
+   keeps its largest allocation, and entries past [n] are never read. *)
 let recompile a =
   let n = Tree.size a.tree in
-  if n <> a.n || Array.length a.parent < n then begin
-    a.n <- n;
+  if Array.length a.parent < n then begin
     a.parent <- Array.make (max n 1) (-1);
     a.first_child <- Array.make (max n 1) (-1);
     a.next_sibling <- Array.make (max n 1) (-1);
@@ -143,6 +144,9 @@ let recompile a =
     a.drv_slew_c <- ba n
   end;
   a.n <- n;
+  (* [rebuild_chain] links only nodes that have a parent: reset the rest
+     (root, detached nodes) as a fresh allocation would have them. *)
+  Array.fill a.next_sibling 0 n (-1);
   for id = 0 to n - 1 do
     update_node a id;
     rebuild_chain a id
@@ -159,6 +163,15 @@ let compile tree =
   in
   recompile a;
   a
+
+let rebind a tree =
+  a.tree <- tree;
+  recompile a
+
+(* A one-node tree on the same technology: what a released arena points
+   at, so it keeps its capacity but not its last tree. *)
+let release a =
+  rebind a (Tree.create ~tech:(Tree.tech a.tree) ~source_pos:Geometry.Point.origin)
 
 let in_sync a = a.revision = Tree.revision a.tree
 let revision a = a.revision

@@ -27,7 +27,7 @@ val k_buffer : int
 val k_sink : int
 
 type t = private {
-  tree : Tree.t;
+  mutable tree : Tree.t;
   mutable revision : int;
   mutable n : int;
   mutable parent : int array;
@@ -59,6 +59,16 @@ val sync : ?touched:int list -> t -> unit
     node count, only those nodes are patched — including their sibling
     chains, since a children-list edit always touches the parent. Any
     other case (size change, no hint) recompiles every node. *)
+
+val rebind : t -> Tree.t -> unit
+(** Point the arena at another tree and recompile it in place. The
+    arrays are reallocated only when the new tree has more nodes than
+    they hold, so a scratch arena rebound from tree to tree stops
+    allocating once it has seen its largest tree. *)
+
+val release : t -> unit
+(** Rebind to a one-node placeholder tree on the same technology: the
+    arena keeps its capacity but no longer keeps its last tree alive. *)
 
 val in_sync : t -> bool
 (** [revision arena = Tree.revision tree] — false means the arena is

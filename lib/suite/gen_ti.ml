@@ -11,7 +11,11 @@ let cols = 300
 let candidate_count = rows * cols
 
 (* Deterministic candidate site: jittered grid position with a smooth
-   density warp (flops bunch towards register banks). *)
+   density warp (flops bunch towards register banks). Draws exactly
+   [draws_per_site] values from [rng] (two Box–Muller normals, no
+   rejection), which is what lets [generate] jump straight to a site. *)
+let draws_per_site = 4
+
 let site rng idx =
   let r = idx / cols and c = idx mod cols in
   let fx = (float_of_int c +. 0.5) /. float_of_int cols in
@@ -25,6 +29,10 @@ let site rng idx =
     (clamp (int_of_float (fx *. float_of_int die_w) + jitter 2_000.) die_w)
     (clamp (int_of_float (fy *. float_of_int die_h) + jitter 2_000.) die_h)
 
+(* The site layout is one stream at seed [0x7151] walked in index order,
+   so site [idx] reads draws [4·idx, 4·idx+4) of it whatever [n] is. Only
+   the chosen sites are laid out, each from a stream jumped to its first
+   draw: O(n log n) instead of laying out all 135 000 sites per call. *)
 let generate n =
   if n < 1 || n > candidate_count then
     invalid_arg (Printf.sprintf "Gen_ti.generate: n=%d out of range" n);
@@ -36,26 +44,21 @@ let generate n =
     if Hashtbl.mem chosen t then Hashtbl.replace chosen j ()
     else Hashtbl.replace chosen t ()
   done;
-  let site_rng = Rng.create 0x7151 in
-  (* Generate all candidate positions deterministically, pick the chosen
-     ones (site jitter must not depend on n). *)
-  let sinks = ref [] in
-  let count = ref 0 in
-  for idx = 0 to candidate_count - 1 do
-    let p = site site_rng idx in
-    if Hashtbl.mem chosen idx then begin
-      sinks :=
-        { Dme.Zst.label = Printf.sprintf "ff%d" idx; pos = p;
-          cap = 2. +. (Rng.float rng *. 4.); parity = 0 }
-        :: !sinks;
-      incr count
-    end
-  done;
+  let idxs = Array.of_seq (Hashtbl.to_seq_keys chosen) in
+  Array.sort Int.compare idxs;
+  (* Caps keep drawing from the Floyd stream in ascending index order. *)
+  let sink idx =
+    let site_rng = Rng.create 0x7151 in
+    Rng.jump site_rng (draws_per_site * idx);
+    let pos = site site_rng idx in
+    { Dme.Zst.label = Printf.sprintf "ff%d" idx; pos;
+      cap = 2. +. (Rng.float rng *. 4.); parity = 0 }
+  in
   {
     Format_io.name = Printf.sprintf "ti%d" n;
     chip = Rect.make ~lx:0 ~ly:0 ~hx:die_w ~hy:die_h;
     source = Point.make 0 (die_h / 2);
-    sinks = Array.of_list (List.rev !sinks);
+    sinks = Array.map sink idxs;
     obstacles = [];
     tech = Tech.default45 ();
   }

@@ -27,3 +27,10 @@ let normal t =
   sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2)
 
 let split t = { state = next t }
+
+(* [next] only adds [golden] to the state before mixing, so k draws
+   advance the state by k·golden (mod 2^64): skipping them is one
+   multiply-add. *)
+let jump t k =
+  if k < 0 then invalid_arg "Rng.jump: negative draw count";
+  t.state <- Int64.add t.state (Int64.mul (Int64.of_int k) golden)

@@ -17,3 +17,9 @@ val normal : t -> float
 
 (** Independent generator derived from this one's stream. *)
 val split : t -> t
+
+(** [jump t k] advances [t] past [k] draws in O(1): afterwards [t]
+    yields exactly what it would after [k] calls of {!float} (or
+    {!int}; each consumes one draw, {!normal} two).
+    @raise Invalid_argument when [k < 0]. *)
+val jump : t -> int -> unit

@@ -24,10 +24,14 @@ let load_bench s =
     (* [ti:]/[grid:] sizes must be strictly positive integers: a generator
        handed 0 or a negative count would otherwise fail obscurely deep
        in topology construction (or not at all, looping on an empty sink
-       set). *)
-    let sized p body =
+       set). A [ti:] count past the die's candidate sites fails here too,
+       not as the generator's [Invalid_argument]. *)
+    let sized ?(max = max_int) p body =
       match int_of_string_opt body with
-      | Some n when n > 0 -> n
+      | Some n when n > 0 && n <= max -> n
+      | Some n when n > 0 ->
+        failwith
+          (Printf.sprintf "%s: %s:<n> needs at most %d sinks, got %d" s p max n)
       | Some n ->
         failwith
           (Printf.sprintf "%s: %s:<n> needs a positive sink count, got %d" s p n)
@@ -36,7 +40,8 @@ let load_bench s =
           (Printf.sprintf "%s: %s:<n> needs a positive integer, got %S" s p body)
     in
     match (prefixed "ti", prefixed "grid") with
-    | Some body, _ -> Gen_ti.generate (sized "ti" body)
+    | Some body, _ ->
+      Gen_ti.generate (sized ~max:Gen_ti.candidate_count "ti" body)
     | _, Some body -> Gen_grid.generate ~n:(sized "grid" body) ()
     | None, None ->
       failwith

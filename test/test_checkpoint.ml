@@ -262,6 +262,15 @@ let test_read_file_diagnostics () =
 
 (* ---------- atomic checksummed persistence ---------- *)
 
+(* Published FNV-1a-64 test vectors pin the checksum bit for bit. *)
+let test_fnv1a_vectors () =
+  List.iter
+    (fun (input, want) ->
+      Alcotest.(check int64) (Printf.sprintf "fnv1a %S" input) want
+        (Core.Persist.fnv1a input))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L) ]
+
 let test_persist () =
   let dir = Filename.temp_file "contango_persist" "" in
   Sys.remove dir;
@@ -546,7 +555,8 @@ let () =
          Alcotest.test_case "diagnostics" `Quick test_read_file_diagnostics;
        ]);
       ("persist",
-       [ Alcotest.test_case "atomic + checksum" `Quick test_persist ]);
+       [ Alcotest.test_case "atomic + checksum" `Quick test_persist;
+         Alcotest.test_case "fnv1a test vectors" `Quick test_fnv1a_vectors ]);
       ("checkpoint",
        [
          Alcotest.test_case "save/load" `Quick test_checkpoint_save_load;

@@ -204,6 +204,92 @@ let test_screen_on_worker () =
             seeds)
         setups)
 
+(* ---------- scratch reuse ---------- *)
+
+(* Stateless screens reuse one arena and stage pool from call to call
+   (consecutive calls on one thread get the same scratch back from the
+   free list). Rebound across trees of different sizes they must give,
+   bit for bit, what two independent references give: a fresh session's
+   full evaluation (every field; not Arnoldi, whose sessions take
+   Newton-polished crossings) and the tree-walk oracle over [Rcnet.stages]
+   (runs and skew/CLR; not the flat kernel, which the oracle's boxed
+   solve matches only to sub-femtosecond). Shrinking leaves stale entries
+   past the new size, growing reallocates, and returning to the first
+   tree reuses buffers another tree wrote last. *)
+let test_scratch_reuse setup () =
+  let by_size =
+    List.sort
+      (fun a b -> compare (Tree.size a) (Tree.size b))
+      (List.map random_tree [ 1; 2; 3; 4; 5; 6 ])
+  in
+  let small = List.hd by_size
+  and large = List.nth by_size (List.length by_size - 1)
+  and first = List.nth by_size (List.length by_size / 2) in
+  check_bool "distinct sizes" true
+    (Tree.size small < Tree.size first && Tree.size first < Tree.size large);
+  let oracle_solve =
+    match (setup.engine, setup.flat) with
+    | Ev.Spice, true -> None
+    | Ev.Spice, false ->
+      Some (fun rc ~r_drv ~s_drv -> Analysis.Transient.solve rc ~r_drv ~s_drv)
+    | Ev.Arnoldi, _ -> Some Analysis.Moments.solve
+    | Ev.Elmore_model, _ -> Some Analysis.Elmore.solve
+  in
+  List.iteri
+    (fun step (tree, seg_len) ->
+      let label =
+        Printf.sprintf "%s step %d (%d nodes)" setup.name step (Tree.size tree)
+      in
+      let screen max_slew =
+        Ev.screen ~engine:setup.engine ~flat:setup.flat ~seg_len ~max_slew tree
+      in
+      let ev =
+        match screen infinity with
+        | Some ev -> ev
+        | None -> Alcotest.fail (label ^ ": unbounded screen rejected")
+      in
+      if setup.engine <> Ev.Arnoldi then
+        check_same_eval (label ^ " vs session")
+          (Ev.Incremental.refresh
+             (Ev.Incremental.create ~engine:setup.engine ~flat:setup.flat
+                ~seg_len ~parallel:false tree))
+          ev;
+      Option.iter
+        (fun solve ->
+          Propagation_oracle.check_matches (label ^ " vs oracle") tree
+            (Propagation_oracle.reference ~seg_len ~solve tree)
+            ev)
+        oracle_solve;
+      check_bool (label ^ ": reused early exit") true
+        (Option.is_none (screen (worst_tap_slew ev /. 2.))))
+    [ (first, seg_len); (small, seg_len); (large, seg_len); (first, seg_len);
+      (* A different extraction granularity recompiles from scratch. *)
+      (small, 2 * seg_len); (first, seg_len) ]
+
+(* Every call borrows from the shared free list; concurrent
+   borrowers must never see each other's buffers. *)
+let test_concurrent_screens () =
+  let trees = Array.of_list (List.map random_tree [ 1; 2; 3; 4; 5; 6 ]) in
+  let jobs = Array.append trees trees in
+  let pool = Dp.create ~size:2 () in
+  Fun.protect
+    ~finally:(fun () -> Dp.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun setup ->
+          let eval tree =
+            Ev.evaluate ~engine:setup.engine ~flat:setup.flat ~seg_len tree
+          in
+          let sequential = Array.map eval jobs in
+          let concurrent = Dp.map pool eval jobs in
+          Array.iteri
+            (fun i ev ->
+              check_same_eval
+                (Printf.sprintf "%s job %d" setup.name i)
+                sequential.(i) ev)
+            concurrent)
+        setups)
+
 (* ---------- insertion: screened sweep vs the full-evaluation sweep ---------- *)
 
 (* The sweep [Insertion.run] performed before screening: a full
@@ -329,6 +415,14 @@ let () =
            (test_parallel_evaluate_matches_session Ev.Elmore_model);
          Alcotest.test_case "screen on a pool worker runs inline" `Quick
            test_screen_on_worker ]);
+      ("scratch",
+       List.map
+         (fun s ->
+           Alcotest.test_case (s.name ^ " reuse = references") `Quick
+             (test_scratch_reuse s))
+         setups
+       @ [ Alcotest.test_case "concurrent screens = sequential" `Quick
+             test_concurrent_screens ]);
       ("insertion",
        [ Alcotest.test_case "ispd instances" `Quick test_insertion_ispd;
          Alcotest.test_case "ti scalability" `Quick test_insertion_scalability ])

@@ -171,16 +171,25 @@ let test_deadline () =
 
 let test_bad_spec_request () =
   with_server (fun addr ->
-      match
-        Client.oneshot addr
-          (Protocol.Run { spec = "ti:-5"; timeout_s = None; request_key = None })
-      with
-      | Ok (Protocol.Failed { code; detail }) ->
-        check_string "code" "bad_request" code;
-        check_bool "detail names the sink count" true
-          (contains detail "positive")
-      | Ok _ -> Alcotest.fail "expected bad_request"
-      | Error e -> Alcotest.fail e)
+      List.iter
+        (fun (spec, fragment) ->
+          match
+            Client.oneshot addr
+              (Protocol.Run { spec; timeout_s = None; request_key = None })
+          with
+          | Ok (Protocol.Failed { code; detail }) ->
+            check_string (spec ^ " code") "bad_request" code;
+            check_bool (spec ^ " detail names the sink count") true
+              (contains detail fragment)
+          | Ok _ -> Alcotest.failf "%s: expected bad_request" spec
+          | Error e -> Alcotest.fail e)
+        [ ("ti:-5", "positive"); ("ti:135001", "at most 135000") ];
+      (* A bad request is the caller's error, not a worker crash. *)
+      match Client.oneshot addr Protocol.Stats with
+      | Ok (Protocol.Completed { body; _ }) ->
+        check_bool "no crashed requests" true
+          (Json.to_float (Json.member "crashed" body) = Some 0.)
+      | Ok _ | Error _ -> Alcotest.fail "stats request failed")
 
 let queue_depth addr =
   match Client.oneshot addr Protocol.Stats with
@@ -470,6 +479,7 @@ let test_bad_specs_are_structured () =
       ("ti:-5", "positive");
       ("grid:0", "positive");
       ("ti:many", "positive integer");
+      ("ti:135001", "at most 135000 sinks");
       ("no-such-bench.cts", "");
     ]
 

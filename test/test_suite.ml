@@ -164,6 +164,83 @@ let ti_sampling_qcheck =
       in
       List.length (List.sort_uniq compare labels) = n)
 
+(* The all-sites generator [Gen_ti.generate] replaced, kept verbatim as
+   its oracle: lay out every candidate site from one stream in index
+   order and keep the Floyd-chosen ones. If [Gen_ti]'s site draw count
+   or warp ever changes, this copy must change with it. *)
+let oracle_ti n =
+  let open Suite in
+  let rows = 450 and cols = 300 in
+  let die_w = 4_200_000 and die_h = 3_000_000 in
+  let site rng idx =
+    let r = idx / cols and c = idx mod cols in
+    let fx = (float_of_int c +. 0.5) /. float_of_int cols in
+    let fy = (float_of_int r +. 0.5) /. float_of_int rows in
+    let warp f centre strength =
+      f +. (strength *. sin ((f -. centre) *. Float.pi))
+    in
+    let fx = warp fx 0.3 0.08 and fy = warp fy 0.6 0.06 in
+    let jitter scale = int_of_float (Rng.normal rng *. scale) in
+    let clamp v hi = min (max v 0) hi in
+    Point.make
+      (clamp (int_of_float (fx *. float_of_int die_w) + jitter 2_000.) die_w)
+      (clamp (int_of_float (fy *. float_of_int die_h) + jitter 2_000.) die_h)
+  in
+  let candidate_count = rows * cols in
+  let rng = Rng.create (0x71 + n) in
+  let chosen = Hashtbl.create (2 * n) in
+  for j = candidate_count - n to candidate_count - 1 do
+    let t = Rng.int rng (j + 1) in
+    if Hashtbl.mem chosen t then Hashtbl.replace chosen j ()
+    else Hashtbl.replace chosen t ()
+  done;
+  let site_rng = Rng.create 0x7151 in
+  let sinks = ref [] in
+  for idx = 0 to candidate_count - 1 do
+    let p = site site_rng idx in
+    if Hashtbl.mem chosen idx then
+      sinks :=
+        { Dme.Zst.label = Printf.sprintf "ff%d" idx; pos = p;
+          cap = 2. +. (Rng.float rng *. 4.); parity = 0 }
+        :: !sinks
+  done;
+  Array.of_list (List.rev !sinks)
+
+let test_ti_matches_oracle () =
+  let sizes =
+    Suite.Gen_ti.family
+    @ [ 1; 150; Suite.Gen_ti.candidate_count ]
+    @ List.init 31 (fun i -> 100 + i)
+  in
+  List.iter
+    (fun n ->
+      let got = (Suite.Gen_ti.generate n).Suite.Format_io.sinks in
+      let want = oracle_ti n in
+      let ctx what = Printf.sprintf "ti%d %s" n what in
+      check_int (ctx "count") (Array.length want) (Array.length got);
+      Array.iteri
+        (fun i (w : Dme.Zst.sink_spec) ->
+          let g = got.(i) in
+          Alcotest.(check string) (ctx "label") w.label g.Dme.Zst.label;
+          check_bool (ctx "position") true (Point.equal w.pos g.Dme.Zst.pos);
+          Alcotest.(check int64) (ctx "cap bits")
+            (Int64.bits_of_float w.cap) (Int64.bits_of_float g.Dme.Zst.cap);
+          check_int (ctx "parity") w.parity g.Dme.Zst.parity)
+        want)
+    sizes
+
+let rng_jump_qcheck =
+  QCheck.Test.make ~name:"rng: jump by k equals k single draws" ~count:200
+    QCheck.(pair int (int_range 0 64))
+    (fun (seed, k) ->
+      let stepped = Suite.Rng.create seed and jumped = Suite.Rng.create seed in
+      for _ = 1 to k do
+        ignore (Suite.Rng.float stepped)
+      done;
+      Suite.Rng.jump jumped k;
+      List.init 8 (fun _ -> Suite.Rng.int stepped max_int)
+      = List.init 8 (fun _ -> Suite.Rng.int jumped max_int))
+
 let test_grid_generator () =
   let b = Suite.Gen_grid.generate ~n:4 () in
   check_int "16 sinks" 16 (Array.length b.Suite.Format_io.sinks);
@@ -272,7 +349,8 @@ let () =
        [ Alcotest.test_case "determinism" `Quick test_rng_determinism;
          Alcotest.test_case "ranges" `Quick test_rng_ranges;
          Alcotest.test_case "split" `Quick test_rng_split;
-         q rng_normal_qcheck ]);
+         q rng_normal_qcheck;
+         q rng_jump_qcheck ]);
       ("format",
        [ Alcotest.test_case "roundtrip" `Quick test_format_roundtrip;
          Alcotest.test_case "file roundtrip" `Quick test_format_file_roundtrip;
@@ -285,6 +363,8 @@ let () =
          Alcotest.test_case "obstacles" `Quick test_ispd_obstacles ]);
       ("gen-ti",
        [ Alcotest.test_case "generator" `Quick test_ti_generator;
+         Alcotest.test_case "matches all-sites oracle" `Quick
+           test_ti_matches_oracle;
          q ti_sampling_qcheck ]);
       ("gen-grid",
        [ Alcotest.test_case "generator" `Quick test_grid_generator;
