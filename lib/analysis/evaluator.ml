@@ -518,25 +518,31 @@ module Store = struct
 end
 
 module Incremental = struct
-  (* One (corner × source transition) evaluation pass owns its own cache
-     so the domain-parallel phase shares no mutable state between jobs:
-     results are deterministic regardless of scheduling, and no locks are
-     taken on the hot path. The key is the stage's content fingerprint
+  (* One (corner × source transition) evaluation pass owns its own result
+     cache, so its hits, misses and cache contents never depend on how the
+     passes are scheduled. The key is the stage's content fingerprint
      plus the driver parameters — correctness does not depend on the tree
      revision counter, which is only a whole-result fast path. *)
   type slot = {
     s_corner : Tech.Corner.t;
     s_transition : transition;
     cache : (Int64.t * float * float, (float * float) array) Hashtbl.t;
-    (* Per-slot kernel state: workspaces are mutable scratch and the
-       factorisation cache fills lazily (the adaptive kernel factors its
-       coarse rates on first use), so each domain-parallel pass owns its
-       own pair — no locks, no races, scheduling-independent results. *)
-    s_fcache : Transient.Fcache.t;  (* boxed kernel *)
-    s_ffcache : Transient.Flat.Fcache.t;  (* streaming kernel *)
-    s_ws : Transient.workspace;
     mutable hits : int;
     mutable misses : int;
+  }
+
+  (* The slots marched in lockstep over the stage pool — a corner's Rise
+     and Fall for the boxed Spice kernel, which solves their shared
+     misses as one two-lane sweep, one slot otherwise — and the kernel
+     state they share. Workspaces are mutable scratch and the
+     factorisation caches fill lazily (the adaptive kernel factors its
+     coarse rates on first use), so each domain-parallel job owns its own
+     — no locks, no races, scheduling-independent results. *)
+  type job = {
+    lanes : slot array;
+    fcache : Transient.Fcache.t;  (* boxed kernel *)
+    ffcache : Transient.Flat.Fcache.t;  (* streaming kernel *)
+    wss : Transient.workspace array;  (* one per lane *)
   }
 
   type session = {
@@ -550,7 +556,9 @@ module Incremental = struct
        publishes to), or [None] for a self-contained session. *)
     store : Store.handle option;
     mutable tree : Tree.t;
-    slots : slot array;
+    (* Every (corner × transition) slot, corner-major with Rise before
+       Fall, grouped into the jobs that march them. *)
+    jobs : job array;
     (* The arena snapshot and the stage pool the session last compiled
        (rebuilt when the session is rebound to a different tree). Every
        engine solves its stages out of the pool. *)
@@ -592,44 +600,48 @@ module Incremental = struct
        model engines ignore it. *)
     let flat = flat && engine = Spice in
     let corners = (Tree.tech tree).Tech.corners in
-    (* Per-slot factorisation caches read through the store's shared
+    (* Per-job factorisation caches read through the store's shared
        factorisation table, so a repeat request re-solves its stages
        without re-factoring them even when the result store has turned
        the entries over. *)
     let fstore = Option.map (fun h -> Store.fstore (Store.of_handle h)) store in
-    let slots =
+    let slot corner tr =
+      { s_corner = corner; s_transition = tr; cache = Hashtbl.create 1024;
+        hits = 0; misses = 0 }
+    in
+    let job lanes =
+      { lanes; fcache = Transient.Fcache.create ?store:fstore ();
+        ffcache = Transient.Flat.Fcache.create ();
+        wss = Array.map (fun _ -> Transient.workspace ()) lanes }
+    in
+    let jobs =
       Array.of_list
         (List.concat_map
            (fun corner ->
-             List.map
-               (fun tr ->
-                 { s_corner = corner; s_transition = tr;
-                   cache = Hashtbl.create 1024;
-                   s_fcache = Transient.Fcache.create ?store:fstore ();
-                   s_ffcache = Transient.Flat.Fcache.create ();
-                   s_ws = Transient.workspace (); hits = 0; misses = 0 })
-               [ Rise; Fall ])
+             let rise = slot corner Rise and fall = slot corner Fall in
+             if engine = Spice && not flat then [ job [| rise; fall |] ]
+             else [ job [| rise |]; job [| fall |] ])
            corners)
     in
     { engine; flat; seg_len; parallel; tstep = transient_step;
-      tmode = transient_mode; store; tree; slots; arena = None; pool = None;
+      tmode = transient_mode; store; tree; jobs; arena = None; pool = None;
       f_scratch = Transient.workspace (); f_ws = [||]; last = None;
       last_revision = -1; last_tree = tree; refreshes = 0; fast_refreshes = 0;
       dirty_refreshes = 0; c_stage_of = [||]; c_driven = [||];
       stages_tree = tree; anchor_rev = -1; pending = [] }
 
-  (* One engine solve of pool stage [si] for [slot]. Only the streaming
-     kernel reads the pool slice itself; the boxed kernel and the model
-     engines solve a boxed copy of the stage, which equals the reference
-     extraction bit for bit. *)
-  let solve_stage session slot pool si ~r_drv ~s_drv =
+  (* One engine solve of pool stage [si] for lane [l] of [job]. Only the
+     streaming kernel reads the pool slice itself; the boxed kernel and
+     the model engines solve a boxed copy of the stage, which equals the
+     reference extraction bit for bit. *)
+  let solve_stage session job l pool si ~r_drv ~s_drv =
     match session.engine with
     | Spice when session.flat ->
       Transient.Flat.solve ?step:session.tstep ?mode:session.tmode
-        ~fcache:slot.s_ffcache ~ws:slot.s_ws pool ~si ~r_drv ~s_drv
+        ~fcache:job.ffcache ~ws:job.wss.(l) pool ~si ~r_drv ~s_drv
     | Spice ->
       Transient.solve ?step:session.tstep ?mode:session.tmode
-        ~fcache:slot.s_fcache ~fp:pool.Rcflat.fp.(si) ~ws:slot.s_ws
+        ~fcache:job.fcache ~fp:pool.Rcflat.fp.(si) ~ws:job.wss.(l)
         (Rcflat.stage_rc pool si) ~r_drv ~s_drv
     | Arnoldi ->
       (* Newton-polished crossings: same roots as [Moments.solve] to
@@ -637,32 +649,92 @@ module Incremental = struct
       Moments.solve_fast (Rcflat.stage_rc pool si) ~r_drv ~s_drv
     | Elmore_model -> Elmore.solve (Rcflat.stage_rc pool si) ~r_drv ~s_drv
 
-  let run_slot session arena pool slot =
-    let solve si ~r_drv ~s_drv =
-      let key = (pool.Rcflat.fp.(si), r_drv, s_drv) in
-      match Hashtbl.find_opt slot.cache key with
-      | Some r ->
-        slot.hits <- slot.hits + 1;
-        r
-      | None ->
-        slot.misses <- slot.misses + 1;
-        let r =
-          (* Local miss: another request may already have solved this
-             exact stage — consult the shared store before the engine. *)
-          match Option.bind session.store (fun h -> Store.find h key) with
-          | Some r -> r
-          | None ->
-            let r = solve_stage session slot pool si ~r_drv ~s_drv in
-            (match session.store with
-            | Some h -> Store.add h key r
-            | None -> ());
-            r
-        in
-        if Hashtbl.length slot.cache >= cache_cap then Hashtbl.reset slot.cache;
-        Hashtbl.add slot.cache key r;
-        r
+  let cache_add slot key r =
+    if Hashtbl.length slot.cache >= cache_cap then Hashtbl.reset slot.cache;
+    Hashtbl.add slot.cache key r
+
+  (* A slot's cached result for [key]: the slot cache first, then — on a
+     local miss — the shared store, since another request may already
+     have solved this exact stage. [None] leaves the solve to the
+     caller, which then [commit]s the result. *)
+  let lookup session slot key =
+    match Hashtbl.find_opt slot.cache key with
+    | Some _ as hit ->
+      slot.hits <- slot.hits + 1;
+      hit
+    | None ->
+      slot.misses <- slot.misses + 1;
+      let shared = Option.bind session.store (fun h -> Store.find h key) in
+      Option.iter (cache_add slot key) shared;
+      shared
+
+  let commit session slot key r =
+    Option.iter (fun h -> Store.add h key r) session.store;
+    cache_add slot key r
+
+  (* March [job]'s lanes over the pool in lockstep, stage by stage. Each
+     slot sees exactly the cache, store and engine traffic of its own
+     sequential pass, in the same order; only a stage both lanes miss
+     is solved as one pair. When the two keys coincide under a shared
+     store the lanes stay sequential, because the second lane's store
+     lookup would have found the first lane's result. *)
+  let run_job session arena pool job =
+    let tech = Tree.tech session.tree in
+    let states =
+      Array.map (fun s -> pstate_make session.tree s.s_transition) job.lanes
     in
-    propagate ~solve session.tree arena pool slot.s_corner slot.s_transition
+    let fp = pool.Rcflat.fp in
+    let solve l si ~r_drv ~s_drv =
+      let r = solve_stage session job l pool si ~r_drv ~s_drv in
+      commit session job.lanes.(l) (fp.(si), r_drv, s_drv) r;
+      r
+    in
+    let resolve l si ~r_drv ~s_drv =
+      match lookup session job.lanes.(l) (fp.(si), r_drv, s_drv) with
+      | Some r -> r
+      | None -> solve l si ~r_drv ~s_drv
+    in
+    for si = 0 to pool.Rcflat.nstages - 1 do
+      if Array.length job.lanes = 1 then begin
+        let st = states.(0) and slot = job.lanes.(0) in
+        let driver, tr, r_drv, s_drv =
+          stage_drive tech arena pool slot.s_corner st si
+        in
+        pstate_apply arena pool slot.s_corner st si ~driver ~tr
+          (resolve 0 si ~r_drv ~s_drv)
+      end
+      else begin
+        let sa = job.lanes.(0) and sb = job.lanes.(1) in
+        let sta = states.(0) and stb = states.(1) in
+        let da, tra, ra, ha = stage_drive tech arena pool sa.s_corner sta si in
+        let db, trb, rb, hb = stage_drive tech arena pool sb.s_corner stb si in
+        let ka = (fp.(si), ra, ha) and kb = (fp.(si), rb, hb) in
+        let res_a, res_b =
+          match lookup session sa ka with
+          | Some r -> (r, resolve 1 si ~r_drv:rb ~s_drv:hb)
+          | None when Option.is_some session.store && compare ka kb = 0 ->
+            let r = solve 0 si ~r_drv:ra ~s_drv:ha in
+            (r, resolve 1 si ~r_drv:rb ~s_drv:hb)
+          | None -> (
+            match lookup session sb kb with
+            | Some r_b -> (solve 0 si ~r_drv:ra ~s_drv:ha, r_b)
+            | None ->
+              let r_a, r_b =
+                Transient.solve_pair ?step:session.tstep ?mode:session.tmode
+                  ~fcache:job.fcache ~fp:fp.(si)
+                  ~ws:(job.wss.(0), job.wss.(1))
+                  (Rcflat.stage_rc pool si) ~r_drv:(ra, rb) ~s_drv:(ha, hb)
+              in
+              commit session sa ka r_a;
+              commit session sb kb r_b;
+              (r_a, r_b))
+        in
+        pstate_apply arena pool sa.s_corner sta si ~driver:da ~tr:tra res_a;
+        pstate_apply arena pool sb.s_corner stb si ~driver:db ~tr:trb res_b
+      end
+    done;
+    Array.map2 (fun st s -> pstate_run st s.s_corner s.s_transition) states
+      job.lanes
 
   (* One pending flat solve of the level-batched refresh: which slot and
      stage it serves, its drive key, the pre-resolved march state, and
@@ -681,7 +753,7 @@ module Incremental = struct
      contiguous stage-index range — so the fan-out unit is an index
      range, not a per-stage closure. Per level: every slot's cache
      misses are gathered and prepped serially (preps touch the shared
-     per-slot factorisation caches), the job array is cut into at most
+     per-job factorisation caches), the job array is cut into at most
      one contiguous chunk per workspace, the chunks march on the domain
      pool with no shared mutable state, and the results are committed
      and the tap/launch state advanced serially in stage order. Hits,
@@ -694,10 +766,12 @@ module Incremental = struct
           (Domain_pool.size (Domain_pool.global ()) + 1)
           (fun _ -> Transient.workspace ());
     let tech = Tree.tech session.tree in
-    let nslots = Array.length session.slots in
+    (* Flat jobs are single-lane: job k serves slot k. *)
+    let jobs = session.jobs in
+    let nslots = Array.length jobs in
     let states =
-      Array.map (fun s -> pstate_make session.tree s.s_transition)
-        session.slots
+      Array.map (fun j -> pstate_make session.tree j.lanes.(0).s_transition)
+        jobs
     in
     let level_res : (float * float) array option ref array array =
       Array.make nslots [||]
@@ -708,9 +782,9 @@ module Incremental = struct
       let lo = pool.Rcflat.level_off.(l) in
       let hi = pool.Rcflat.level_off.(l + 1) in
       let w = hi - lo in
-      let jobs = ref [] in
+      let todo = ref [] in
       for k = 0 to nslots - 1 do
-        let slot = session.slots.(k) in
+        let slot = jobs.(k).lanes.(0) in
         let st = states.(k) in
         let res = Array.make w (ref None) in
         let trs = Array.make w slot.s_transition in
@@ -730,39 +804,22 @@ module Incremental = struct
               slot.hits <- slot.hits + 1;
               cell
             | None ->
-              (match Hashtbl.find_opt slot.cache key with
-              | Some r ->
-                slot.hits <- slot.hits + 1;
-                let cell = ref (Some r) in
-                Hashtbl.add local key cell;
-                cell
-              | None ->
-                slot.misses <- slot.misses + 1;
-                (match
-                   Option.bind session.store (fun h -> Store.find h key)
-                 with
-                | Some r ->
-                  (* Shared-store hit: commit it locally right away so
-                     later levels hit the slot cache like any other. *)
-                  let cell = ref (Some r) in
-                  Hashtbl.add local key cell;
-                  if Hashtbl.length slot.cache >= cache_cap then
-                    Hashtbl.reset slot.cache;
-                  Hashtbl.add slot.cache key r;
-                  cell
-                | None ->
-                  let cell = ref None in
-                  Hashtbl.add local key cell;
-                  let prepped =
-                    Transient.Flat.prep ?step:session.tstep
-                      ?mode:session.tmode ~fcache:slot.s_ffcache
-                      ~scratch:session.f_scratch pool ~si ~r_drv
-                  in
-                  jobs :=
-                    { j_slot = k; j_si = si; j_r = r_drv; j_s = s_drv;
-                      j_prepped = prepped; j_out = cell }
-                    :: !jobs;
-                  cell))
+              (* A shared-store hit is committed to the slot cache right
+                 away, so later levels hit it like any other. *)
+              let cell = ref (lookup session slot key) in
+              Hashtbl.add local key cell;
+              if Option.is_none !cell then begin
+                let prepped =
+                  Transient.Flat.prep ?step:session.tstep ?mode:session.tmode
+                    ~fcache:jobs.(k).ffcache ~scratch:session.f_scratch pool
+                    ~si ~r_drv
+                in
+                todo :=
+                  { j_slot = k; j_si = si; j_r = r_drv; j_s = s_drv;
+                    j_prepped = prepped; j_out = cell }
+                  :: !todo
+              end;
+              cell
           in
           res.(si - lo) <- out;
           trs.(si - lo) <- tr;
@@ -772,7 +829,7 @@ module Incremental = struct
         level_tr.(k) <- trs;
         level_drv.(k) <- drvs
       done;
-      (match !jobs with
+      (match !todo with
       | [] -> ()
       | js ->
         let arr = Array.of_list (List.rev js) in
@@ -800,18 +857,12 @@ module Incremental = struct
              chunks);
         Array.iter
           (fun j ->
-            let slot = session.slots.(j.j_slot) in
+            let slot = jobs.(j.j_slot).lanes.(0) in
             let key = (pool.Rcflat.fp.(j.j_si), j.j_r, j.j_s) in
-            let r = Option.get !(j.j_out) in
-            (match session.store with
-            | Some h -> Store.add h key r
-            | None -> ());
-            if Hashtbl.length slot.cache >= cache_cap then
-              Hashtbl.reset slot.cache;
-            Hashtbl.add slot.cache key r)
+            commit session slot key (Option.get !(j.j_out)))
           arr);
       for k = 0 to nslots - 1 do
-        let slot = session.slots.(k) in
+        let slot = jobs.(k).lanes.(0) in
         let st = states.(k) in
         for si = lo to hi - 1 do
           let results = Option.get !(level_res.(k).(si - lo)) in
@@ -825,26 +876,28 @@ module Incremental = struct
     let runs =
       Array.to_list
         (Array.map2
-           (fun slot st -> pstate_run st slot.s_corner slot.s_transition)
-           session.slots states)
+           (fun j st ->
+             pstate_run st j.lanes.(0).s_corner j.lanes.(0).s_transition)
+           jobs states)
     in
     summarize session.tree runs
 
   (* A parallel refresh batches the streaming kernel's solves level by
-     level; the other engines fan the whole slots out instead. *)
+     level; the other engines fan the whole jobs out instead. *)
   let run_all session =
     let arena = Option.get session.arena and pool = Option.get session.pool in
-    let fan_out = session.parallel && Array.length session.slots > 1 in
+    let fan_out = session.parallel && Array.length session.jobs > 1 in
     if fan_out && session.flat then run_all_flat session arena pool
     else
       let runs =
         if fan_out then
           Domain_pool.map (Domain_pool.global ())
-            (run_slot session arena pool)
-            session.slots
-        else Array.map (run_slot session arena pool) session.slots
+            (run_job session arena pool)
+            session.jobs
+        else Array.map (run_job session arena pool) session.jobs
       in
-      summarize session.tree (Array.to_list runs)
+      summarize session.tree
+        (List.concat_map Array.to_list (Array.to_list runs))
 
   (* Node → stage maps for the dirty fast path: a stage is dirtied when
      a node whose parent wire it contains (or a buffer whose drive it
@@ -997,17 +1050,20 @@ module Incremental = struct
       session.pending <- []
 
   let stats session =
-    let hits = Array.fold_left (fun a s -> a + s.hits) 0 session.slots in
-    let misses = Array.fold_left (fun a s -> a + s.misses) 0 session.slots in
+    let slots =
+      Array.concat (List.map (fun j -> j.lanes) (Array.to_list session.jobs))
+    in
+    let hits = Array.fold_left (fun a s -> a + s.hits) 0 slots in
+    let misses = Array.fold_left (fun a s -> a + s.misses) 0 slots in
     let entries =
-      Array.fold_left (fun a s -> a + Hashtbl.length s.cache) 0 session.slots
+      Array.fold_left (fun a s -> a + Hashtbl.length s.cache) 0 slots
     in
     let factored_entries =
       Array.fold_left
-        (fun a s ->
-          a + Transient.Fcache.length s.s_fcache
-          + Transient.Flat.Fcache.length s.s_ffcache)
-        0 session.slots
+        (fun a j ->
+          a + Transient.Fcache.length j.fcache
+          + Transient.Flat.Fcache.length j.ffcache)
+        0 session.jobs
     in
     let store_hits, store_misses =
       match session.store with
@@ -1021,13 +1077,16 @@ module Incremental = struct
 
   let invalidate session =
     Array.iter
-      (fun s ->
-        Hashtbl.reset s.cache;
-        Transient.Fcache.clear s.s_fcache;
-        Transient.Flat.Fcache.clear s.s_ffcache;
-        s.hits <- 0;
-        s.misses <- 0)
-      session.slots;
+      (fun j ->
+        Array.iter
+          (fun s ->
+            Hashtbl.reset s.cache;
+            s.hits <- 0;
+            s.misses <- 0)
+          j.lanes;
+        Transient.Fcache.clear j.fcache;
+        Transient.Flat.Fcache.clear j.ffcache)
+      session.jobs;
     session.last <- None;
     session.last_revision <- -1;
     session.anchor_rev <- -1;

@@ -174,7 +174,7 @@ type cache_stats = {
       (** refreshes that re-extracted only journal-dirtied stages *)
   entries : int;         (** live cached stage results across all slots *)
   factored_entries : int;
-      (** live backward-Euler factorisations across all per-slot caches *)
+      (** live backward-Euler factorisations across all per-job caches *)
   store_hits : int;
       (** local misses answered by the shared {!Store} (0 when detached) *)
   store_misses : int;    (** local misses the shared store missed too *)
@@ -199,10 +199,14 @@ type edit_hint = { base_revision : int; nodes : int list }
     [seg_len]; see doc/EXTENDING.md for the invalidation rules.
 
     Sessions are not thread-safe: call [refresh] from one domain at a
-    time. Internally, refresh may fan the independent corner × transition
-    passes out over a small domain pool ([parallel], default true); each
-    pass owns its cache slot, so results are deterministic and identical
-    to the sequential order. *)
+    time. Internally, refresh groups the corner × transition passes into
+    jobs — with the boxed [Spice] kernel a corner's Rise and Fall march
+    in lockstep and solve the stages both miss as one
+    {!Transient.solve_pair}; otherwise one pass per job — and may fan the
+    jobs out over a small domain pool ([parallel], default true). Each
+    pass owns its cache slot and each job its kernel state, so results,
+    hits and misses are deterministic and identical to running the passes
+    one after another. *)
 module Incremental : sig
   type session
 
@@ -216,7 +220,7 @@ module Incremental : sig
       dirty-set fast path patches only the touched arena nodes and
       re-extracts the dirty stages inside the pool. [flat] only picks
       the [Spice] march kernel, as in {!evaluate}. A parallel refresh
-      fans the corner × transition slots out over the domain pool; with
+      fans the jobs out over the domain pool; with
       [flat] it instead batches each stage-DAG level's cache misses into
       contiguous index-range chunks across the domain pool. Flat results
       agree with the boxed kernel's to sub-femtosecond (~1e-6 ps at
@@ -224,7 +228,7 @@ module Incremental : sig
 
       [store] attaches a shared {!Store} handle: slot-cache misses
       consult the shared table before running an engine, computed
-      results are published back, and the per-slot factorisation caches
+      results are published back, and the per-job factorisation caches
       read through the store's shared {!Transient.Fstore}. See the
       {!Store} caveat on numerically-identical configs. *)
   val create :

@@ -100,6 +100,64 @@ let step_solve (rc : Rcnet.t) f ~g0 ~vs ~vin ~vout ~r =
     vout.(i) <- (r.(i) +. (f.g.(i) *. vout.(rc.parent.(i)))) /. f.dfact.(i)
   done
 
+(* Two independent lanes of [step_solve] over one factorisation: lane a
+   steps [va] (driver g0a, source vsa, residual [ra]) and lane b steps
+   [vb] in place. Each lane performs exactly [step_solve]'s float
+   operations in its order — the shared g/dfact quotient is the value
+   [step_solve] computes per node — so each state is bit-identical to its
+   own single-lane march. The lanes' dependency chains are independent,
+   so the core overlaps them (and their backward-sweep divisions) instead
+   of idling on one chain, and the i → i−1 parent hop of a wire's chain
+   reads the value just computed from a register instead of reloading
+   it. Unchecked accesses: the caller guarantees [parent.(i) < i] and
+   arrays of at least [rc.size] (see [solve_pair]). [step_solve] itself
+   stays the single-lane reference the flat kernel is measured
+   against. *)
+let step_solve2 (rc : Rcnet.t) f ~g0a ~vsa ~va ~ra ~g0b ~vsb ~vb ~rb =
+  let open Array in
+  let n = rc.size in
+  let parent = rc.parent and coh = f.c_over_h and g = f.g
+  and dfact = f.dfact in
+  for i = 0 to n - 1 do
+    let c = unsafe_get coh i in
+    unsafe_set ra i (c *. unsafe_get va i);
+    unsafe_set rb i (c *. unsafe_get vb i)
+  done;
+  ra.(0) <- ra.(0) +. (g0a *. vsa);
+  rb.(0) <- rb.(0) +. (g0b *. vsb);
+  (* [xa]/[xb] hold the residuals just accumulated into node [last]. *)
+  let xa = ref 0. and xb = ref 0. and last = ref (-1) in
+  for i = n - 1 downto 1 do
+    let p = unsafe_get parent i in
+    let q = unsafe_get g i /. unsafe_get dfact i in
+    let rai = if !last = i then !xa else unsafe_get ra i in
+    let rbi = if !last = i then !xb else unsafe_get rb i in
+    let a = unsafe_get ra p +. (q *. rai) in
+    let b = unsafe_get rb p +. (q *. rbi) in
+    unsafe_set ra p a;
+    unsafe_set rb p b;
+    xa := a;
+    xb := b;
+    last := p
+  done;
+  (* [ya]/[yb] hold the voltages just solved at node i−1. *)
+  let ya = ref (ra.(0) /. (dfact.(0) +. g0a)) in
+  let yb = ref (rb.(0) /. (dfact.(0) +. g0b)) in
+  va.(0) <- !ya;
+  vb.(0) <- !yb;
+  for i = 1 to n - 1 do
+    let p = unsafe_get parent i in
+    let gi = unsafe_get g i and di = unsafe_get dfact i in
+    let vpa = if p = i - 1 then !ya else unsafe_get va p in
+    let vpb = if p = i - 1 then !yb else unsafe_get vb p in
+    let a = (unsafe_get ra i +. (gi *. vpa)) /. di in
+    let b = (unsafe_get rb i +. (gi *. vpb)) /. di in
+    unsafe_set va i a;
+    unsafe_set vb i b;
+    ya := a;
+    yb := b
+  done
+
 let ramp_voltage ~ramp t = if t <= 0. then 0. else if t >= ramp then 1. else t /. ramp
 
 let default_max_steps = 2_000_000
@@ -435,6 +493,74 @@ let reset_counters () =
 (* The march                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Crossing bookkeeping of one march: the watched nodes' live frontier,
+   scanned against the fine-march state [lv] after every fine step. A
+   slot leaves the frontier once all three thresholds have fired through
+   [lon_cross (watch_slot, threshold_index, time)]. *)
+type lane = {
+  lv : float array;
+  lwatch : int array;
+  lon_cross : int -> int -> float -> unit;
+  lprev : float array;  (* last scanned value per watch slot *)
+  lnextk : int array;   (* next pending threshold per watch slot *)
+  llive : int array;    (* compact frontier of uncrossed slots *)
+  mutable nlive : int;
+  mutable remaining : int;  (* crossings still to fire *)
+}
+
+(* A lane over [ws]'s fine state and watch arrays, zeroed for a march
+   from rest; [ws] must already be grown to [n] nodes and the watch. *)
+let lane_start ws ~n ~watch ~on_cross =
+  let nwatch = Array.length watch in
+  Array.fill ws.v 0 n 0.;
+  for w0 = 0 to nwatch - 1 do
+    ws.prev.(w0) <- 0.;
+    ws.nextk.(w0) <- 0;
+    ws.live.(w0) <- w0
+  done;
+  { lv = ws.v; lwatch = watch; lon_cross = on_cross; lprev = ws.prev;
+    lnextk = ws.nextk; llive = ws.live; nlive = nwatch;
+    remaining = nwatch * 3 }
+
+(* Scan the live frontier against [lv] after a fine step t0 → t0+h;
+   nodes with all three thresholds crossed leave the frontier. *)
+let scan ln ~t0 ~h =
+  let v = ln.lv and watch = ln.lwatch and prev = ln.lprev
+  and nextk = ln.lnextk and live = ln.llive in
+  let idx = ref 0 in
+  while !idx < ln.nlive do
+    let w0 = live.(!idx) in
+    let vw = v.(watch.(w0)) in
+    let k = ref nextk.(w0) in
+    while !k < 3 && vw >= thresholds.(!k) do
+      (* Linear interpolation inside the step. *)
+      let frac =
+        if vw -. prev.(w0) <= 0. then 1.
+        else (thresholds.(!k) -. prev.(w0)) /. (vw -. prev.(w0))
+      in
+      ln.lon_cross w0 !k (t0 +. (frac *. h));
+      ln.remaining <- ln.remaining - 1;
+      incr k
+    done;
+    nextk.(w0) <- !k;
+    if !k > 2 then begin
+      ln.nlive <- ln.nlive - 1;
+      live.(!idx) <- live.(ln.nlive);
+      live.(ln.nlive) <- w0
+    end
+    else begin
+      prev.(w0) <- vw;
+      incr idx
+    end
+  done
+
+(* Publish one finished march to the cross-call counters. *)
+let record_march ~solves ~fine_equiv ~truncated =
+  ignore (Atomic.fetch_and_add solves_ctr solves);
+  ignore (Atomic.fetch_and_add saved_ctr (fine_equiv - solves));
+  if truncated then Atomic.incr trunc_ctr;
+  { solves; fine_equiv; truncated }
+
 (* The three-rate march controller, generic over the per-step kernel:
    [fine] is the fine-step factorisation, [rate stp] produces (or looks
    up) a coarse-rate one, and [solve f ~vs ~vin ~vout] advances one
@@ -449,68 +575,30 @@ let march_core ~step ~mult ~fine ~rate ~solve ~ws ~n ~ramp ~watch ~on_cross
   (* [watch] : rc node indices to monitor; [on_cross] called with
      (watch_slot, threshold_index, time). Thresholds are 0.1, 0.5, 0.9. *)
   begin
-    let nwatch = Array.length watch in
-    let v = ws.v in
-    Array.fill v 0 n 0.;
-    let prev = ws.prev and nextk = ws.nextk and live = ws.live in
-    for w0 = 0 to nwatch - 1 do
-      prev.(w0) <- 0.;
-      nextk.(w0) <- 0;
-      live.(w0) <- w0
-    done;
-    let nlive = ref nwatch in
-    let remaining = ref (nwatch * 3) in
+    let ln = lane_start ws ~n ~watch ~on_cross in
+    let v = ln.lv and prev = ln.lprev and nextk = ln.lnextk
+    and live = ln.llive in
     let solves = ref 0 in
     let fine_equiv = ref 0 in
     let truncated = ref false in
-    (* Scan the live frontier against [v] after a fine step t0 → t0+h;
-       nodes with all three thresholds crossed leave the frontier. *)
-    let scan ~t0 ~h =
-      let idx = ref 0 in
-      while !idx < !nlive do
-        let w0 = live.(!idx) in
-        let vw = v.(watch.(w0)) in
-        let k = ref nextk.(w0) in
-        while !k < 3 && vw >= thresholds.(!k) do
-          (* Linear interpolation inside the step. *)
-          let frac =
-            if vw -. prev.(w0) <= 0. then 1.
-            else (thresholds.(!k) -. prev.(w0)) /. (vw -. prev.(w0))
-          in
-          on_cross w0 !k (t0 +. (frac *. h));
-          decr remaining;
-          incr k
-        done;
-        nextk.(w0) <- !k;
-        if !k > 2 then begin
-          decr nlive;
-          live.(!idx) <- live.(!nlive);
-          live.(!nlive) <- w0
-        end
-        else begin
-          prev.(w0) <- vw;
-          incr idx
-        end
-      done
-    in
     let t = ref 0. in
     (* Up to [budget] fine steps from the current state; accounted in
        both [solves] and [fine_equiv]. *)
     let fine_steps budget =
       let taken = ref 0 in
-      while !remaining > 0 && !taken < budget do
+      while ln.remaining > 0 && !taken < budget do
         incr taken;
         incr solves;
         let t1 = !t +. step in
         solve fine ~vs:(ramp_voltage ~ramp t1) ~vin:v ~vout:v;
-        scan ~t0:!t ~h:step;
+        scan ln ~t0:!t ~h:step;
         t := t1
       done;
       fine_equiv := !fine_equiv + !taken
     in
     if mult <= 1 then begin
       fine_steps max_steps;
-      truncated := !remaining > 0
+      truncated := ln.remaining > 0
     end
     else begin
       let step_a = step *. float_of_int mult in
@@ -536,14 +624,14 @@ let march_core ~step ~mult ~fine ~rate ~solve ~ws ~n ~ramp ~watch ~on_cross
          decayed — before the step-size extrapolation starts. *)
       let lead = int_of_float (ceil (ramp /. step)) + (4 * mult) in
       fine_steps (Int.min lead max_steps);
-      if !remaining > 0 then
+      if ln.remaining > 0 then
         if !fine_equiv + mult > max_steps then truncated := true
         else begin
           Array.blit v 0 ws.va0 0 n;
           Array.blit v 0 ws.vb0 0 n;
           Array.blit v 0 ws.vc0 0 n;
           let continue_ = ref true in
-          while !remaining > 0 && !continue_ do
+          while ln.remaining > 0 && !continue_ do
             if !fine_equiv + mult > max_steps then begin
               continue_ := false;
               truncated := true
@@ -568,7 +656,7 @@ let march_core ~step ~mult ~fine ~rate ~solve ~ws ~n ~ramp ~watch ~on_cross
               done;
               (* Bracket test on the extrapolated frontier values. *)
               let hot = ref false in
-              for idx = 0 to !nlive - 1 do
+              for idx = 0 to ln.nlive - 1 do
                 let w0 = live.(idx) in
                 let wi = watch.(w0) in
                 if (wa *. ws.va1.(wi)) +. (wb *. ws.vb1.(wi))
@@ -587,7 +675,7 @@ let march_core ~step ~mult ~fine ~rate ~solve ~ws ~n ~ramp ~watch ~on_cross
                     +. (wc *. ws.vc0.(i))
                 done;
                 fine_steps mult;
-                if !remaining > 0 then begin
+                if ln.remaining > 0 then begin
                   (* All coarse marches restart from the fine state. *)
                   t := t1;
                   Array.blit v 0 ws.va0 0 n;
@@ -596,7 +684,7 @@ let march_core ~step ~mult ~fine ~rate ~solve ~ws ~n ~ramp ~watch ~on_cross
                 end
               end
               else begin
-                for idx = 0 to !nlive - 1 do
+                for idx = 0 to ln.nlive - 1 do
                   let w0 = live.(idx) in
                   let wi = watch.(w0) in
                   prev.(w0) <-
@@ -620,11 +708,23 @@ let march_core ~step ~mult ~fine ~rate ~solve ~ws ~n ~ramp ~watch ~on_cross
           done
         end
     end;
-    ignore (Atomic.fetch_and_add solves_ctr !solves);
-    ignore (Atomic.fetch_and_add saved_ctr (!fine_equiv - !solves));
-    if !truncated then Atomic.incr trunc_ctr;
-    { solves = !solves; fine_equiv = !fine_equiv; truncated = !truncated }
+    record_march ~solves:!solves ~fine_equiv:!fine_equiv ~truncated:!truncated
   end
+
+(* One single-lane march of [rc] at a resolved rate [mult]. *)
+let march_one ~step ~mult ?fcache ?fp ~fine ~ws ~max_steps (rc : Rcnet.t)
+    ~r_drv ~s_drv ~watch ~on_cross =
+  let g0 = 1. /. r_drv in
+  let ramp = s_drv /. 0.8 in
+  let rate stp =
+    match fcache with
+    | Some c -> Fcache.get c ?fp rc ~step:stp
+    | None -> factor ~step:stp rc
+  in
+  let r = ws.r in
+  let solve f ~vs ~vin ~vout = step_solve rc f ~g0 ~vs ~vin ~vout ~r in
+  march_core ~step ~mult ~fine ~rate ~solve ~ws ~n:rc.size ~ramp ~watch
+    ~on_cross ~max_steps
 
 let simulate ?(step = default_step) ?(mode = default_mode) ?factored ?fcache
     ?fp ?ws ?(max_steps = default_max_steps) (rc : Rcnet.t) ~r_drv ~s_drv
@@ -634,31 +734,17 @@ let simulate ?(step = default_step) ?(mode = default_mode) ?factored ?fcache
   else begin
     let ws = match ws with Some w -> w | None -> domain_workspace () in
     grow ws ~n ~w:(Array.length watch);
-    let g0 = 1. /. r_drv in
-    let ramp = s_drv /. 0.8 in
     let mult =
       resolve_mult mode rc ~r_drv ~watch ~step ~down:ws.va0 ~m:ws.vb0
     in
     let fine = get_factored ?factored ?fcache ?fp ~step rc in
-    let rate stp =
-      match fcache with
-      | Some c -> Fcache.get c ?fp rc ~step:stp
-      | None -> factor ~step:stp rc
-    in
-    let r = ws.r in
-    let solve f ~vs ~vin ~vout = step_solve rc f ~g0 ~vs ~vin ~vout ~r in
-    march_core ~step ~mult ~fine ~rate ~solve ~ws ~n ~ramp ~watch ~on_cross
-      ~max_steps
+    march_one ~step ~mult ?fcache ?fp ~fine ~ws ~max_steps rc ~r_drv ~s_drv
+      ~watch ~on_cross
   end
 
-let solve ?step ?mode ?factored ?fcache ?fp ?ws (rc : Rcnet.t) ~r_drv ~s_drv =
-  let ntaps = Array.length rc.taps in
-  let watch = Array.map fst rc.taps in
-  let times = Array.make (ntaps * 3) nan in
-  let res =
-    simulate ?step ?mode ?factored ?fcache ?fp ?ws rc ~r_drv ~s_drv ~watch
-      ~on_cross:(fun w k t -> times.((w * 3) + k) <- t)
-  in
+(* Crossing times (three per tap, in watch order) to per-tap
+   (delay, slew); [node w] names tap [w] in failure messages. *)
+let tap_results ~ntaps ~node ~s_drv ~truncated times =
   let ramp = s_drv /. 0.8 in
   Array.init ntaps (fun w ->
       let t10 = times.(w * 3) and t50 = times.((w * 3) + 1)
@@ -666,18 +752,130 @@ let solve ?step ?mode ?factored ?fcache ?fp ?ws (rc : Rcnet.t) ~r_drv ~s_drv =
       if Float.is_nan t90 then begin
         (* A truncated march legitimately never reached 90 %; anything
            else means the waveform itself went non-finite. *)
-        if not res.truncated then
+        if not truncated then
           Numerics.fail "transient solve: NaN crossing at tap node %d"
-            (fst rc.taps.(w));
+            (node w);
         (infinity, infinity)
       end
       else begin
         let delay = t50 -. (ramp /. 2.) and slew = t90 -. t10 in
         if Float.is_nan delay || Float.is_nan slew then
-          Numerics.fail "transient solve: NaN result at tap node %d"
-            (fst rc.taps.(w));
+          Numerics.fail "transient solve: NaN result at tap node %d" (node w);
         (delay, slew)
       end)
+
+let rc_tap_results (rc : Rcnet.t) =
+  tap_results ~ntaps:(Array.length rc.taps) ~node:(fun w -> fst rc.taps.(w))
+
+let solve ?step ?mode ?factored ?fcache ?fp ?ws ?max_steps (rc : Rcnet.t)
+    ~r_drv ~s_drv =
+  let watch = Array.map fst rc.taps in
+  let times = Array.make (Array.length watch * 3) nan in
+  let res =
+    simulate ?step ?mode ?factored ?fcache ?fp ?ws ?max_steps rc ~r_drv
+      ~s_drv ~watch ~on_cross:(fun w k t -> times.((w * 3) + k) <- t)
+  in
+  rc_tap_results rc ~s_drv ~truncated:res.truncated times
+
+(* ------------------------------------------------------------------ *)
+(* Two-lane march: a corner's rise and fall drives of one stage        *)
+(* ------------------------------------------------------------------ *)
+
+(* Both lanes step in lockstep over the shared fine factorisation; each
+   keeps its own driver, ramp, state, residual and crossing scan. Once
+   one lane has fired all its crossings the other finishes alone on the
+   single-lane kernel, continuing the same time sequence. Every lane
+   therefore performs exactly the steps, float operations and scans of
+   its own single fine march, and reports the same [march]. *)
+let march_pair (rc : Rcnet.t) f ~step ~max_steps (la, g0a, rampa, ra)
+    (lb, g0b, rampb, rb) =
+  let va = la.lv and vb = lb.lv in
+  let t = ref 0. and k = ref 0 in
+  while la.remaining > 0 && lb.remaining > 0 && !k < max_steps do
+    incr k;
+    let t1 = !t +. step in
+    step_solve2 rc f ~g0a ~vsa:(ramp_voltage ~ramp:rampa t1) ~va ~ra ~g0b
+      ~vsb:(ramp_voltage ~ramp:rampb t1) ~vb ~rb;
+    scan la ~t0:!t ~h:step;
+    scan lb ~t0:!t ~h:step;
+    t := t1
+  done;
+  let shared = !k in
+  (* At most one lane still has crossings pending here. *)
+  let finish ln ~g0 ~ramp ~r =
+    let k0 = !k in
+    while ln.remaining > 0 && !k < max_steps do
+      incr k;
+      let t1 = !t +. step in
+      step_solve rc f ~g0 ~vs:(ramp_voltage ~ramp t1) ~vin:ln.lv ~vout:ln.lv
+        ~r;
+      scan ln ~t0:!t ~h:step;
+      t := t1
+    done;
+    let steps = shared + (!k - k0) in
+    record_march ~solves:steps ~fine_equiv:steps
+      ~truncated:(ln.remaining > 0)
+  in
+  let ma = finish la ~g0:g0a ~ramp:rampa ~r:ra in
+  let mb = finish lb ~g0:g0b ~ramp:rampb ~r:rb in
+  (ma, mb)
+
+let solve_pair ?(step = default_step) ?(mode = default_mode) ?fcache ?fp
+    ?(max_steps = default_max_steps) ~ws:(ws_a, ws_b) (rc : Rcnet.t)
+    ~r_drv:(r_a, r_b) ~s_drv:(s_a, s_b) =
+  if ws_a == ws_b then invalid_arg "Transient.solve_pair: shared workspace";
+  let n = rc.size in
+  let watch = Array.map fst rc.taps in
+  let nw = Array.length watch in
+  let times_a = Array.make (nw * 3) nan and times_b = Array.make (nw * 3) nan in
+  let on_a w k t = times_a.((w * 3) + k) <- t
+  and on_b w k t = times_b.((w * 3) + k) <- t in
+  let ma, mb =
+    if n = 0 then
+      let none = { solves = 0; fine_equiv = 0; truncated = false } in
+      (none, none)
+    else begin
+      grow ws_a ~n ~w:nw;
+      grow ws_b ~n ~w:nw;
+      let mult_a =
+        resolve_mult mode rc ~r_drv:r_a ~watch ~step ~down:ws_a.va0
+          ~m:ws_a.vb0
+      in
+      let mult_b =
+        resolve_mult mode rc ~r_drv:r_b ~watch ~step ~down:ws_b.va0
+          ~m:ws_b.vb0
+      in
+      let fine = get_factored ?fcache ?fp ~step rc in
+      if mult_a <= 1 && mult_b <= 1 then begin
+        (* [step_solve2] trusts the shapes; check them once per pair. *)
+        if Array.length fine.g < n || Array.length rc.parent < n then
+          invalid_arg "Transient.solve_pair: factorisation/stage size mismatch";
+        for i = 1 to n - 1 do
+          let p = rc.parent.(i) in
+          if p < 0 || p >= i then
+            invalid_arg "Transient.solve_pair: parents not topological"
+        done;
+        march_pair rc fine ~step ~max_steps
+          (lane_start ws_a ~n ~watch ~on_cross:on_a, 1. /. r_a, s_a /. 0.8,
+           ws_a.r)
+          (lane_start ws_b ~n ~watch ~on_cross:on_b, 1. /. r_b, s_b /. 0.8,
+           ws_b.r)
+      end
+      else
+        (* An adaptive lane keeps its own multi-rate march. *)
+        let ma =
+          march_one ~step ~mult:mult_a ?fcache ?fp ~fine ~ws:ws_a ~max_steps
+            rc ~r_drv:r_a ~s_drv:s_a ~watch ~on_cross:on_a
+        in
+        let mb =
+          march_one ~step ~mult:mult_b ?fcache ?fp ~fine ~ws:ws_b ~max_steps
+            rc ~r_drv:r_b ~s_drv:s_b ~watch ~on_cross:on_b
+        in
+        (ma, mb)
+    end
+  in
+  let res_a = rc_tap_results rc ~s_drv:s_a ~truncated:ma.truncated times_a in
+  (res_a, rc_tap_results rc ~s_drv:s_b ~truncated:mb.truncated times_b)
 
 let probe ?(step = default_step) ?factored ?fcache ?fp ?ws (rc : Rcnet.t)
     ~r_drv ~s_drv ~node ~times =
@@ -971,23 +1169,8 @@ module Flat = struct
         ~watch
         ~on_cross:(fun w k t -> times.((w * 3) + k) <- t)
     in
-    let ramp = s_drv /. 0.8 in
-    Array.init ntaps (fun w ->
-        let t10 = times.(w * 3) and t50 = times.((w * 3) + 1)
-        and t90 = times.((w * 3) + 2) in
-        if Float.is_nan t90 then begin
-          if not res.truncated then
-            Numerics.fail "transient solve: NaN crossing at tap node %d"
-              p.Rcflat.tap_node.(si).(w);
-          (infinity, infinity)
-        end
-        else begin
-          let delay = t50 -. (ramp /. 2.) and slew = t90 -. t10 in
-          if Float.is_nan delay || Float.is_nan slew then
-            Numerics.fail "transient solve: NaN result at tap node %d"
-              p.Rcflat.tap_node.(si).(w);
-          (delay, slew)
-        end)
+    tap_results ~ntaps ~node:(Array.get p.Rcflat.tap_node.(si)) ~s_drv
+      ~truncated:res.truncated times
 
   let solve ?step ?mode ?max_steps ~fcache ?ws (p : Rcflat.t) ~si ~r_drv
       ~s_drv =

@@ -150,11 +150,28 @@ val simulate :
 
 (** Per-tap [(delay, slew)] in ps: delay from the driver ramp's 50 % point
     to the tap's 50 % crossing; slew is the 10–90 % interval. Indexed like
-    [rc.taps]. Taps whose march truncated are [(infinity, infinity)]. *)
+    [rc.taps]. Taps whose march truncated are [(infinity, infinity)];
+    [max_steps] is {!simulate}'s budget. *)
 val solve :
   ?step:float -> ?mode:mode -> ?factored:factored -> ?fcache:Fcache.t ->
-  ?fp:int64 -> ?ws:workspace -> Rcnet.t -> r_drv:float -> s_drv:float ->
-  (float * float) array
+  ?fp:int64 -> ?ws:workspace -> ?max_steps:int -> Rcnet.t -> r_drv:float ->
+  s_drv:float -> (float * float) array
+
+(** Two drives of one stage — a corner's rise and fall passes — solved
+    together: [solve_pair ~ws:(wa, wb) rc ~r_drv:(ra, rb) ~s_drv:(sa, sb)]
+    returns, bit for bit, what [solve ~ws:wa rc ~r_drv:ra ~s_drv:sa] and
+    [solve ~ws:wb rc ~r_drv:rb ~s_drv:sb] would, and moves {!counters}
+    by the same amounts. When both drives resolve to a fine-only march
+    ([Fixed], or an [Auto] stage too stiff to coarsen) the two run as one
+    two-lane sweep over the shared fine factorisation, each lane with its
+    own driver, ramp, state and crossing scan; the lane that needs more
+    steps finishes alone. Otherwise each drive runs its own march. The
+    two workspaces must be distinct. *)
+val solve_pair :
+  ?step:float -> ?mode:mode -> ?fcache:Fcache.t -> ?fp:int64 ->
+  ?max_steps:int -> ws:workspace * workspace -> Rcnet.t ->
+  r_drv:float * float -> s_drv:float * float ->
+  (float * float) array * (float * float) array
 
 (** Full waveform probe for tests: voltages of a chosen rc node sampled at
     the given times, always at the fixed fine rate. Times may be in any

@@ -34,6 +34,9 @@ val better :
     exactly as the last completed evaluation saw it. *)
 exception Deadline_exceeded
 
+(** @raise Deadline_exceeded when [config.deadline] has passed. *)
+val check_deadline : Config.t -> unit
+
 (** Process-wide counters of candidate attempts and accepted candidates
     across every IVC loop (atomic: flows and speculative evaluations run
     on domains). {!Flow} reports per-step deltas in its trace. *)

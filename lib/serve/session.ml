@@ -258,11 +258,13 @@ let run_request t ~deadline spec =
               ];
         })
 
-let eval_request t ~deadline:_ spec =
+let eval_request t ~deadline spec =
   match Suite.Runner.load_bench spec with
   | exception Failure detail -> Protocol.Failed { code = "bad_request"; detail }
   | b -> (
-    match Suite.Baseline.run ~config:t.config b with
+    let config = { t.config with Core.Config.deadline } in
+    match Suite.Baseline.run ~config b with
+    | exception Core.Ivc.Deadline_exceeded -> deadline_failed t
     | exception e -> crash_failed t e (Printexc.get_raw_backtrace ())
     | r ->
       Atomic.incr t.served;

@@ -55,12 +55,14 @@ let run ?(config = Core.Config.default) (b : Format_io.t) =
       ~seg_len:config.Core.Config.seg_len t
   in
   let rec insert ceiling tries =
+    Core.Ivc.check_deadline config;
     let buffered =
       Buffering.Fast_vg.insert tree ~buf ~step:config.Core.Config.vg_step
         ~cap_ceiling:ceiling ()
     in
     ignore
       (Core.Polarity.correct buffered ~buf ~strategy:Core.Polarity.Per_sink);
+    Core.Ivc.check_deadline config;
     let eval = evaluate buffered in
     if eval.Analysis.Evaluator.slew_violations = 0 || tries = 0 then
       (buffered, eval)

@@ -12,5 +12,8 @@ type result = {
   seconds : float;
 }
 
+(** [config.deadline] is checked before every buffer-insertion try and
+    before every evaluation.
+    @raise Core.Ivc.Deadline_exceeded once it has passed. *)
 val run :
   ?config:Core.Config.t -> Format_io.t -> result

@@ -327,6 +327,114 @@ let test_second_pass_threshold () =
     (forced.Core.Flow.final.Ev.skew
      <= disabled.Core.Flow.final.Ev.skew +. 1e-9)
 
+(* ---------- Paired rise/fall marches ---------- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Bit-for-bit equality of two summaries, every run included. *)
+let check_bits_eval label (a : Ev.t) (b : Ev.t) =
+  let ok = ref true in
+  let expect c = if not c then ok := false in
+  List.iter
+    (fun (x, y) -> expect (same_bits x y))
+    [ (a.Ev.skew, b.Ev.skew); (a.Ev.skew_rise, b.Ev.skew_rise);
+      (a.Ev.skew_fall, b.Ev.skew_fall); (a.Ev.clr, b.Ev.clr);
+      (a.Ev.t_min, b.Ev.t_min); (a.Ev.t_max, b.Ev.t_max) ];
+  expect (a.Ev.slew_violations = b.Ev.slew_violations);
+  expect (List.length a.Ev.runs = List.length b.Ev.runs);
+  List.iter2
+    (fun (x : Ev.run) (y : Ev.run) ->
+      expect (x.Ev.corner.Tech.Corner.name = y.Ev.corner.Tech.Corner.name);
+      expect (x.Ev.transition = y.Ev.transition);
+      Array.iteri
+        (fun i l -> expect (same_bits l y.Ev.latency.(i)))
+        x.Ev.latency;
+      Array.iteri (fun i l -> expect (same_bits l y.Ev.slew.(i))) x.Ev.slew)
+    a.Ev.runs b.Ev.runs;
+  check_bool label true !ok
+
+(* A whole serial flow under the default config (boxed Spice sessions,
+   so every corner's rise and fall march in lockstep): the work counts
+   and the final tree pinned to what the one-march-per-pass session
+   produced. Pairing changes how stages are marched, never which. *)
+let flow_counts spec ~eval_runs ~solves ~saved ~hits ~misses ~digest () =
+  let b = Suite.Runner.load_bench spec in
+  let config = { Core.Config.default with Core.Config.speculation = 1 } in
+  let c0 = Analysis.Transient.counters () in
+  let r =
+    Core.Flow.run ~config ~tech:b.Suite.Format_io.tech
+      ~source:b.Suite.Format_io.source ~obstacles:b.Suite.Format_io.obstacles
+      b.Suite.Format_io.sinks
+  in
+  let c1 = Analysis.Transient.counters () in
+  let sum f = List.fold_left (fun a e -> a + f e) 0 r.Core.Flow.trace in
+  check_int "eval runs" eval_runs r.Core.Flow.eval_runs;
+  check_int "transient solves" solves
+    (c1.Analysis.Transient.total_solves - c0.Analysis.Transient.total_solves);
+  check_int "transient saved" saved
+    (c1.Analysis.Transient.total_saved - c0.Analysis.Transient.total_saved);
+  check_int "transient truncations" 0
+    (c1.Analysis.Transient.total_truncations
+    - c0.Analysis.Transient.total_truncations);
+  check_int "session hits" hits (sum (fun e -> e.Core.Flow.cache_hits));
+  check_int "session misses" misses (sum (fun e -> e.Core.Flow.cache_misses));
+  check_bool "tree digest" true
+    (Int64.equal digest (Tree.digest r.Core.Flow.tree))
+
+let test_flow_counts_ispd =
+  flow_counts "ispd09f22" ~eval_runs:53 ~solves:297990 ~saved:9171
+    ~hits:21888 ~misses:4308 ~digest:0xe0b2173b44f93c11L
+
+let test_flow_counts_ti =
+  flow_counts "ti:200" ~eval_runs:78 ~solves:275852 ~saved:4223 ~hits:24242
+    ~misses:4462 ~digest:0x9c18f90fee7a42c8L
+
+(* A parallel and a sequential paired session, each with its own shared
+   store, through a run of edits: identical summaries and cache stats
+   after every refresh. The first refresh also pins the store traffic of
+   one-pass-at-a-time slots: where a corner's rise and fall keys
+   coincide (the source stage) the fall lane finds the rise lane's
+   published result in the store instead of solving it again. *)
+let test_paired_parallel_sequential () =
+  let b = Suite.Runner.load_bench "ti:200" in
+  let tree, _, _, _ =
+    Core.Flow.initial_tree ~tech:b.Suite.Format_io.tech
+      ~source:b.Suite.Format_io.source b.Suite.Format_io.sinks
+  in
+  let session parallel =
+    Ev.Incremental.create ~parallel
+      ~store:(Ev.Store.handle (Ev.Store.create ()))
+      tree
+  in
+  let seq = session false and par = session true in
+  let step label =
+    check_bits_eval label (Ev.Incremental.refresh seq)
+      (Ev.Incremental.refresh par);
+    let a = Ev.Incremental.stats seq and b = Ev.Incremental.stats par in
+    check_bool (label ^ ": cache stats") true (a = b)
+  in
+  step "initial";
+  let st = Ev.Incremental.stats seq in
+  check_int "initial misses" 533 st.Ev.misses;
+  check_int "initial store hits" 16 st.Ev.store_hits;
+  check_int "initial store misses" 517 st.Ev.store_misses;
+  let rng = Random.State.make [| 18 |] in
+  for i = 1 to 12 do
+    (match Random.State.int rng 2 with
+    | 0 ->
+      let id = 1 + Random.State.int rng (Tree.size tree - 1) in
+      Tree.set_snake tree id (Random.State.int rng 40_000)
+    | _ -> (
+      let bufs = Tree.buffer_ids tree in
+      let id = bufs.(Random.State.int rng (Array.length bufs)) in
+      match (Tree.node tree id).Tree.kind with
+      | Tree.Buffer bf ->
+        Tree.set_buffer tree id
+          (Tech.Composite.scale bf (0.6 +. Random.State.float rng 1.2))
+      | _ -> ()));
+    step (Printf.sprintf "edit %d" i)
+  done
+
 let () =
   Alcotest.run "incremental"
     [
@@ -353,5 +461,13 @@ let () =
             test_trace_cache_deltas;
           Alcotest.test_case "second-pass threshold" `Quick
             test_second_pass_threshold;
+        ] );
+      ( "paired",
+        [
+          Alcotest.test_case "flow counts ispd09f22" `Quick
+            test_flow_counts_ispd;
+          Alcotest.test_case "flow counts ti:200" `Quick test_flow_counts_ti;
+          Alcotest.test_case "parallel = sequential" `Quick
+            test_paired_parallel_sequential;
         ] );
     ]

@@ -169,6 +169,33 @@ let test_deadline () =
       | Ok _ -> Alcotest.fail "expected a deadline failure"
       | Error e -> Alcotest.fail e)
 
+let stats_field addr name =
+  match Client.oneshot addr Protocol.Stats with
+  | Ok (Protocol.Completed { body; _ }) -> (
+    match Json.to_float (Json.member name body) with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "stats lacks %s" name)
+  | Ok _ | Error _ -> Alcotest.fail "stats request failed"
+
+(* An Eval honours its budget while it runs, not only at dequeue: the
+   baseline flow checks the deadline between its insertion tries and
+   evaluations. ti:5000 takes about a second; a 0.1 s budget passes the
+   start-of-execution check and expires inside the baseline. *)
+let test_eval_deadline () =
+  with_server (fun addr ->
+      let expired0 = stats_field addr "deadline_expired" in
+      (match
+         Client.oneshot addr
+           (Protocol.Eval
+              { spec = "ti:5000"; timeout_s = Some 0.1; request_key = None })
+       with
+      | Ok (Protocol.Failed { code; _ }) -> check_string "code" "deadline" code
+      | Ok _ -> Alcotest.fail "expected a deadline failure"
+      | Error e -> Alcotest.fail e);
+      check_int "deadline_expired counted" (expired0 + 1)
+        (stats_field addr "deadline_expired");
+      check_int "no crashed requests" 0 (stats_field addr "crashed"))
+
 let test_bad_spec_request () =
   with_server (fun addr ->
       List.iter
@@ -191,13 +218,7 @@ let test_bad_spec_request () =
           (Json.to_float (Json.member "crashed" body) = Some 0.)
       | Ok _ | Error _ -> Alcotest.fail "stats request failed")
 
-let queue_depth addr =
-  match Client.oneshot addr Protocol.Stats with
-  | Ok (Protocol.Completed { body; _ }) -> (
-    match Json.to_float (Json.member "queue_depth" body) with
-    | Some v -> int_of_float v
-    | None -> Alcotest.fail "stats lacks queue_depth")
-  | Ok _ | Error _ -> Alcotest.fail "stats request failed"
+let queue_depth addr = stats_field addr "queue_depth"
 
 let test_backpressure () =
   with_server ~max_queue:2 (fun addr ->
@@ -513,6 +534,7 @@ let () =
       ("daemon",
        [ Alcotest.test_case "cross-request cache reuse" `Slow test_cache_reuse;
          Alcotest.test_case "deadline expiry" `Quick test_deadline;
+         Alcotest.test_case "eval deadline" `Quick test_eval_deadline;
          Alcotest.test_case "bad spec" `Quick test_bad_spec_request;
          Alcotest.test_case "backpressure at max-queue" `Slow
            test_backpressure ]);

@@ -274,6 +274,19 @@ let test_baseline_runs () =
   Alcotest.(check (list string)) "valid tree" []
     (Ctree.Validate.check r.Suite.Baseline.tree)
 
+(* A spent budget stops the baseline before it evaluates anything. *)
+let test_baseline_deadline () =
+  let b = Suite.Gen_grid.generate ~n:3 () in
+  let config =
+    { Core.Config.default with
+      Core.Config.deadline = Some (Core.Monoclock.now () -. 1.) }
+  in
+  let evals = Analysis.Evaluator.eval_count () in
+  (match Suite.Baseline.run ~config b with
+  | _ -> Alcotest.fail "expected Deadline_exceeded"
+  | exception Core.Ivc.Deadline_exceeded -> ());
+  check_int "no evaluation spent" evals (Analysis.Evaluator.eval_count ())
+
 let test_format_file_roundtrip () =
   let b = Suite.Gen_grid.generate ~n:3 () in
   let path = Filename.temp_file "contango" ".cts" in
@@ -369,7 +382,9 @@ let () =
       ("gen-grid",
        [ Alcotest.test_case "generator" `Quick test_grid_generator;
          Alcotest.test_case "symmetric skew" `Quick test_grid_symmetric_skew ]);
-      ("baseline", [ Alcotest.test_case "runs" `Slow test_baseline_runs ]);
+      ("baseline",
+       [ Alcotest.test_case "runs" `Slow test_baseline_runs;
+         Alcotest.test_case "spent deadline" `Quick test_baseline_deadline ]);
       ("report",
        [ Alcotest.test_case "table" `Quick test_report_table;
          Alcotest.test_case "json" `Quick test_json_basic;

@@ -222,6 +222,174 @@ let test_step_epsilon_match () =
   in
   check_int "probe with shared factorisation" 2 (Array.length v)
 
+(* ---------- two-lane march = two single marches ---------- *)
+
+(* A random stage with arbitrary topology (any earlier node may be the
+   parent, not only chains), 1 to 80 nodes and 0 to 4 taps anywhere —
+   the root included, so n = 1 and tapless stages occur. *)
+let any_rc rng =
+  let n = 1 + Random.State.int rng 80 in
+  let parent = Array.make n (-1) in
+  let res = Array.make n 0. in
+  let cap = Array.make n 0. in
+  for i = 1 to n - 1 do
+    parent.(i) <-
+      (if Random.State.int rng 3 = 0 then i - 1 else Random.State.int rng i);
+    res.(i) <- 5. +. Random.State.float rng 400.;
+    cap.(i) <- 0.2 +. Random.State.float rng 8.
+  done;
+  cap.(0) <- 0.5 +. Random.State.float rng 5.;
+  let taps =
+    Array.init (Random.State.int rng 5) (fun k ->
+        (Random.State.int rng n, Rcnet.Tap_sink k))
+  in
+  { Rcnet.parent; res; cap; taps; size = n }
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_results label a b =
+  check_int (label ^ ": tap count") (Array.length a) (Array.length b);
+  Array.iteri
+    (fun k (d, s) ->
+      let d', s' = b.(k) in
+      if not (same_bits d d' && same_bits s s') then
+        Alcotest.failf "%s tap %d: (%h, %h) vs (%h, %h)" label k d s d' s')
+    a
+
+let counters_delta f =
+  let c0 = Tr.counters () in
+  let r = f () in
+  let c1 = Tr.counters () in
+  ( r,
+    ( c1.Tr.total_solves - c0.Tr.total_solves,
+      c1.Tr.total_saved - c0.Tr.total_saved,
+      c1.Tr.total_truncations - c0.Tr.total_truncations ) )
+
+(* The pair against two single solves on fresh workspaces: identical
+   (delay, slew) bits per lane and identical counter deltas. Returns the
+   singles' per-lane counter deltas for callers that check which path
+   the lanes took. *)
+let check_pair_matches ?mode ?max_steps ~label rc (ra, sa) (rb, sb) =
+  let fcache = Tr.Fcache.create () in
+  let single r_drv s_drv =
+    counters_delta (fun () ->
+        Tr.solve ?mode ?max_steps ~fcache ~ws:(Tr.workspace ()) rc ~r_drv
+          ~s_drv)
+  in
+  let a, da = single ra sa in
+  let b, db = single rb sb in
+  let (pa, pb), dp =
+    counters_delta (fun () ->
+        Tr.solve_pair ?mode ?max_steps ~fcache
+          ~ws:(Tr.workspace (), Tr.workspace ())
+          rc ~r_drv:(ra, rb) ~s_drv:(sa, sb))
+  in
+  same_results (label ^ " lane a") a pa;
+  same_results (label ^ " lane b") b pb;
+  let sum (x1, y1, z1) (x2, y2, z2) = (x1 + x2, y1 + y2, z1 + z2) in
+  let xs, ys, zs = sum da db and xp, yp, zp = dp in
+  if not (xs = xp && ys = yp && zs = zp) then
+    Alcotest.failf "%s: counter deltas (%d, %d, %d) vs pair (%d, %d, %d)"
+      label xs ys zs xp yp zp;
+  (da, db)
+
+let modes =
+  [| Tr.Fixed; Tr.Auto { max_mult = 32 }; Tr.Adaptive { mult = 8 } |]
+
+(* Random topology, unequal drives, every mode (Auto pairs fine-only
+   lanes and falls back where either lane coarsens). *)
+let prop_pair_random =
+  QCheck.Test.make ~name:"pair = two singles on random stages" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let rc = any_rc rng in
+      let a = random_drive rng and b = random_drive rng in
+      let mode = modes.(Random.State.int rng (Array.length modes)) in
+      ignore
+        (check_pair_matches ~mode ~label:(Printf.sprintf "seed %d" seed) rc a
+           b);
+      true)
+
+(* Unequal drives on a fine-only stage: the lanes take different step
+   counts, so one finishes alone on the single-lane kernel. *)
+let test_pair_unequal_finish () =
+  let rc = long_chain_rc 40 in
+  let (sa, _, _), (sb, _, _) =
+    check_pair_matches ~mode:Tr.Fixed ~label:"unequal" rc (60., 6.)
+      (900., 30.)
+  in
+  check_bool (Printf.sprintf "lanes differ in steps (%d vs %d)" sa sb) true
+    (sa > 0 && sb > sa)
+
+(* A budget between the two lanes' step counts truncates only the slow
+   lane; a budget under both truncates both. *)
+let test_pair_truncation () =
+  let rc = long_chain_rc 40 in
+  let a = (60., 6.) and b = (900., 30.) in
+  let (sa, _, _), (sb, _, _) =
+    check_pair_matches ~mode:Tr.Fixed ~label:"full" rc a b
+  in
+  let (_, _, ta), (_, _, tb) =
+    check_pair_matches ~mode:Tr.Fixed ~max_steps:((sa + sb) / 2)
+      ~label:"one truncates" rc a b
+  in
+  check_int "fast lane completes" 0 ta;
+  check_int "slow lane truncates" 1 tb;
+  let (_, _, tb'), (_, _, ta') =
+    check_pair_matches ~mode:Tr.Fixed ~max_steps:((sa + sb) / 2)
+      ~label:"slow lane first" rc b a
+  in
+  check_bool "lane order does not matter" true (ta' = 0 && tb' = 1);
+  let (_, _, ta), (_, _, tb) =
+    check_pair_matches ~mode:Tr.Fixed ~max_steps:(sa / 2)
+      ~label:"both truncate" rc a b
+  in
+  check_int "both truncate" 2 (ta + tb)
+
+(* Auto resolves the rate per lane from the driver: a weak driver makes
+   the stage slow enough to coarsen while a strong one stays fine-only,
+   so the pair must fall back to two single marches. *)
+let test_pair_one_adaptive () =
+  let rc =
+    { Rcnet.parent = [| -1; 0; 1; 2 |]; res = [| 0.; 20.; 20.; 20. |];
+      cap = [| 2.; 3.; 3.; 3. |];
+      taps = [| (3, Rcnet.Tap_sink 0); (1, Rcnet.Tap_sink 1) |]; size = 4 }
+  in
+  let mode = Tr.Auto { max_mult = 32 } in
+  let (_, saved_a, _), (_, saved_b, _) =
+    check_pair_matches ~mode ~label:"fine + adaptive" rc (20., 5.)
+      (8000., 5.)
+  in
+  check_int "strong lane is fine-only" 0 saved_a;
+  check_bool "weak lane coarsens" true (saved_b > 0);
+  let (_, saved_a, _), (_, saved_b, _) =
+    check_pair_matches ~mode ~label:"adaptive + fine" rc (8000., 5.)
+      (20., 5.)
+  in
+  check_bool "lane order does not matter" true (saved_a > 0 && saved_b = 0)
+
+let test_pair_degenerate () =
+  let one =
+    { Rcnet.parent = [| -1 |]; res = [| 0. |]; cap = [| 6. |];
+      taps = [| (0, Rcnet.Tap_sink 0) |]; size = 1 }
+  in
+  ignore
+    (check_pair_matches ~mode:Tr.Fixed ~label:"n = 1" one (100., 8.)
+       (400., 12.));
+  let tapless = { (long_chain_rc 12) with Rcnet.taps = [||] } in
+  let (sa, _, _), (sb, _, _) =
+    check_pair_matches ~mode:Tr.Fixed ~label:"no taps" tapless (100., 8.)
+      (400., 12.)
+  in
+  check_int "a tapless stage takes no steps" 0 (sa + sb);
+  (match
+     let ws = Tr.workspace () in
+     Tr.solve_pair ~ws:(ws, ws) one ~r_drv:(1., 1.) ~s_drv:(1., 1.)
+   with
+  | _ -> Alcotest.fail "a shared workspace must be rejected"
+  | exception Invalid_argument _ -> ())
+
 let () =
   Alcotest.run "transient-adaptive"
     [
@@ -245,5 +413,14 @@ let () =
             test_workspace_reuse_identical;
           Alcotest.test_case "fcache" `Quick test_fcache_identical_and_bounded;
           Alcotest.test_case "step epsilon" `Quick test_step_epsilon_match;
+        ] );
+      ( "pair",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |])
+            prop_pair_random;
+          Alcotest.test_case "unequal finish" `Quick test_pair_unequal_finish;
+          Alcotest.test_case "truncation" `Quick test_pair_truncation;
+          Alcotest.test_case "one lane adaptive" `Quick test_pair_one_adaptive;
+          Alcotest.test_case "n = 1 and no taps" `Quick test_pair_degenerate;
         ] );
     ]
