@@ -101,8 +101,9 @@ let step_solve (rc : Rcnet.t) f ~g0 ~vs ~vin ~vout ~r =
   done
 
 (* Two independent lanes of [step_solve] over one factorisation: lane a
-   steps [va] (driver g0a, source vsa, residual [ra]) and lane b steps
-   [vb] in place. Each lane performs exactly [step_solve]'s float
+   steps [ina] to [outa] (driver g0a, source vsa, residual [ra]) and lane
+   b steps [inb] to [outb]; each lane's pair may alias, as in
+   [step_solve]. Each lane performs exactly [step_solve]'s float
    operations in its order — the shared g/dfact quotient is the value
    [step_solve] computes per node — so each state is bit-identical to its
    own single-lane march. The lanes' dependency chains are independent,
@@ -113,15 +114,16 @@ let step_solve (rc : Rcnet.t) f ~g0 ~vs ~vin ~vout ~r =
    arrays of at least [rc.size] (see [solve_pair]). [step_solve] itself
    stays the single-lane reference the flat kernel is measured
    against. *)
-let step_solve2 (rc : Rcnet.t) f ~g0a ~vsa ~va ~ra ~g0b ~vsb ~vb ~rb =
+let step_solve2 (rc : Rcnet.t) f ~g0a ~vsa ~ina ~outa ~ra ~g0b ~vsb ~inb
+    ~outb ~rb =
   let open Array in
   let n = rc.size in
   let parent = rc.parent and coh = f.c_over_h and g = f.g
   and dfact = f.dfact in
   for i = 0 to n - 1 do
     let c = unsafe_get coh i in
-    unsafe_set ra i (c *. unsafe_get va i);
-    unsafe_set rb i (c *. unsafe_get vb i)
+    unsafe_set ra i (c *. unsafe_get ina i);
+    unsafe_set rb i (c *. unsafe_get inb i)
   done;
   ra.(0) <- ra.(0) +. (g0a *. vsa);
   rb.(0) <- rb.(0) +. (g0b *. vsb);
@@ -143,17 +145,17 @@ let step_solve2 (rc : Rcnet.t) f ~g0a ~vsa ~va ~ra ~g0b ~vsb ~vb ~rb =
   (* [ya]/[yb] hold the voltages just solved at node i−1. *)
   let ya = ref (ra.(0) /. (dfact.(0) +. g0a)) in
   let yb = ref (rb.(0) /. (dfact.(0) +. g0b)) in
-  va.(0) <- !ya;
-  vb.(0) <- !yb;
+  outa.(0) <- !ya;
+  outb.(0) <- !yb;
   for i = 1 to n - 1 do
     let p = unsafe_get parent i in
     let gi = unsafe_get g i and di = unsafe_get dfact i in
-    let vpa = if p = i - 1 then !ya else unsafe_get va p in
-    let vpb = if p = i - 1 then !yb else unsafe_get vb p in
+    let vpa = if p = i - 1 then !ya else unsafe_get outa p in
+    let vpb = if p = i - 1 then !yb else unsafe_get outb p in
     let a = (unsafe_get ra i +. (gi *. vpa)) /. di in
     let b = (unsafe_get rb i +. (gi *. vpb)) /. di in
-    unsafe_set va i a;
-    unsafe_set vb i b;
+    unsafe_set outa i a;
+    unsafe_set outb i b;
     ya := a;
     yb := b
   done
@@ -463,6 +465,12 @@ let resolve_mult mode (rc : Rcnet.t) ~r_drv ~watch ~step ~down ~m =
       let tau = stage_tau rc ~r_drv ~watch ~down ~m in
       mult_of_tau ~tau ~step ~max_mult
 
+let march_rate ?(step = default_step) ?(mode = default_mode) (rc : Rcnet.t)
+    ~r_drv =
+  let n = Int.max rc.size 1 in
+  resolve_mult mode rc ~r_drv ~watch:(Array.map fst rc.taps) ~step
+    ~down:(Array.make n 0.) ~m:(Array.make n 0.)
+
 (* ------------------------------------------------------------------ *)
 (* Cross-call telemetry                                                *)
 (* ------------------------------------------------------------------ *)
@@ -711,20 +719,23 @@ let march_core ~step ~mult ~fine ~rate ~solve ~ws ~n ~ramp ~watch ~on_cross
     record_march ~solves:!solves ~fine_equiv:!fine_equiv ~truncated:!truncated
   end
 
+(* A boxed march's coarse-rate factorisations: from the cache when there
+   is one (so two lanes at one rate get the same [factored]), else
+   factored afresh. *)
+let coarse_rate ?fcache ?fp (rc : Rcnet.t) stp =
+  match fcache with
+  | Some c -> Fcache.get c ?fp rc ~step:stp
+  | None -> factor ~step:stp rc
+
 (* One single-lane march of [rc] at a resolved rate [mult]. *)
 let march_one ~step ~mult ?fcache ?fp ~fine ~ws ~max_steps (rc : Rcnet.t)
     ~r_drv ~s_drv ~watch ~on_cross =
   let g0 = 1. /. r_drv in
   let ramp = s_drv /. 0.8 in
-  let rate stp =
-    match fcache with
-    | Some c -> Fcache.get c ?fp rc ~step:stp
-    | None -> factor ~step:stp rc
-  in
   let r = ws.r in
   let solve f ~vs ~vin ~vout = step_solve rc f ~g0 ~vs ~vin ~vout ~r in
-  march_core ~step ~mult ~fine ~rate ~solve ~ws ~n:rc.size ~ramp ~watch
-    ~on_cross ~max_steps
+  march_core ~step ~mult ~fine ~rate:(coarse_rate ?fcache ?fp rc) ~solve ~ws
+    ~n:rc.size ~ramp ~watch ~on_cross ~max_steps
 
 let simulate ?(step = default_step) ?(mode = default_mode) ?factored ?fcache
     ?fp ?ws ?(max_steps = default_max_steps) (rc : Rcnet.t) ~r_drv ~s_drv
@@ -794,8 +805,8 @@ let march_pair (rc : Rcnet.t) f ~step ~max_steps (la, g0a, rampa, ra)
   while la.remaining > 0 && lb.remaining > 0 && !k < max_steps do
     incr k;
     let t1 = !t +. step in
-    step_solve2 rc f ~g0a ~vsa:(ramp_voltage ~ramp:rampa t1) ~va ~ra ~g0b
-      ~vsb:(ramp_voltage ~ramp:rampb t1) ~vb ~rb;
+    step_solve2 rc f ~g0a ~vsa:(ramp_voltage ~ramp:rampa t1) ~ina:va ~outa:va
+      ~ra ~g0b ~vsb:(ramp_voltage ~ramp:rampb t1) ~inb:vb ~outb:vb ~rb;
     scan la ~t0:!t ~h:step;
     scan lb ~t0:!t ~h:step;
     t := t1
@@ -819,6 +830,128 @@ let march_pair (rc : Rcnet.t) f ~step ~max_steps (la, g0a, rampa, ra)
   let ma = finish la ~g0:g0a ~ramp:rampa ~r:ra in
   let mb = finish lb ~g0:g0b ~ramp:rampb ~r:rb in
   (ma, mb)
+
+(* Two multi-rate marches, each its own unchanged [march_core] running
+   as a fiber whose [solve] posts the kernel request (factorisation,
+   source voltage, state in/out) to its lane's [request] and yields. The
+   driver below holds both lanes' pending requests: when they name the
+   same [factored] — the shared fine factorisation, or a coarse rate both
+   lanes got from the cache — it runs them as one [step_solve2] sweep and
+   resumes both; otherwise it steps one lane alone on [step_solve], the
+   one on the fine factorisation if either is (so a lane in its lead-in
+   or a rewind catches up), else the one at the smaller step (the later
+   stage of its window, so two lanes at one rate meet at the next window
+   start), lane a on a tie. Once a lane's march returns, the other
+   finishes alone. Each lane therefore performs exactly the steps, float
+   operations, scans and [record_march] of its own [march_one]; the
+   schedule changes only which steps share a sweep. *)
+type request = {
+  mutable rf : factored;
+  mutable rvs : float;
+  mutable rin : float array;
+  mutable rout : float array;
+}
+
+type _ Effect.t += Yield_step : unit Effect.t
+
+type fiber =
+  | Done of march
+  | Waiting of (unit, fiber) Effect.Deep.continuation
+
+exception Abandoned
+
+(* Run [body] as a fiber up to its first yield (or to its end). *)
+let fiber_start body =
+  Effect.Deep.match_with body ()
+    { retc = (fun m -> Done m);
+      exnc = raise;
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | Yield_step ->
+            Some (fun (k : (a, fiber) Effect.Deep.continuation) -> Waiting k)
+          | _ -> None) }
+
+(* Unwind a suspended lane when its partner (or the driver) raised, so no
+   continuation is left dangling. *)
+let abandon = function
+  | Done _ -> ()
+  | Waiting k -> (
+    match Effect.Deep.discontinue k Abandoned with
+    | _ -> ()
+    | exception Abandoned -> ())
+
+let march_pair_multi (rc : Rcnet.t) ~fine (g0a, ra, march_a)
+    (g0b, rb, march_b) =
+  let n = rc.size in
+  (* A lane: its request cell and its march over the yielding kernel. *)
+  let lane march =
+    let q = { rf = fine; rvs = 0.; rin = [||]; rout = [||] } in
+    let solve f ~vs ~vin ~vout =
+      q.rf <- f;
+      q.rvs <- vs;
+      q.rin <- vin;
+      q.rout <- vout;
+      Effect.perform Yield_step
+    in
+    (q, fun () -> march solve)
+  in
+  let qa, body_a = lane march_a and qb, body_b = lane march_b in
+  let solo q ~g0 ~r =
+    step_solve rc q.rf ~g0 ~vs:q.rvs ~vin:q.rin ~vout:q.rout ~r
+  in
+  (* [idle] marks a cell whose fiber is running, so a raise abandons only
+     lanes that are really suspended. *)
+  let idle = Done { solves = 0; fine_equiv = 0; truncated = false } in
+  let a = ref idle and b = ref idle in
+  let resume cell k =
+    cell := idle;
+    cell := Effect.Deep.continue k ()
+  in
+  let rec loop () =
+    match (!a, !b) with
+    | Done ma, Done mb -> (ma, mb)
+    | Waiting ka, Done _ ->
+      solo qa ~g0:g0a ~r:ra;
+      resume a ka;
+      loop ()
+    | Done _, Waiting kb ->
+      solo qb ~g0:g0b ~r:rb;
+      resume b kb;
+      loop ()
+    | Waiting ka, Waiting kb ->
+      let fa = qa.rf and fb = qb.rf in
+      if fa == fb then begin
+        (* [step_solve2] trusts the shapes; a coarse rate is a cached
+           value, so check it like the fine one was. *)
+        if Array.length fa.g < n then
+          invalid_arg "Transient.solve_pair: factorisation/stage size mismatch";
+        step_solve2 rc fa ~g0a ~vsa:qa.rvs ~ina:qa.rin ~outa:qa.rout ~ra ~g0b
+          ~vsb:qb.rvs ~inb:qb.rin ~outb:qb.rout ~rb;
+        resume a ka;
+        resume b kb
+      end
+      else if fb == fine || (fa != fine && fb.h < fa.h) then begin
+        solo qb ~g0:g0b ~r:rb;
+        resume b kb
+      end
+      else begin
+        solo qa ~g0:g0a ~r:ra;
+        resume a ka
+      end;
+      loop ()
+  in
+  match
+    a := fiber_start body_a;
+    b := fiber_start body_b;
+    loop ()
+  with
+  | res -> res
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    abandon !a;
+    abandon !b;
+    Printexc.raise_with_backtrace e bt
 
 let solve_pair ?(step = default_step) ?(mode = default_mode) ?fcache ?fp
     ?(max_steps = default_max_steps) ~ws:(ws_a, ws_b) (rc : Rcnet.t)
@@ -846,32 +979,30 @@ let solve_pair ?(step = default_step) ?(mode = default_mode) ?fcache ?fp
           ~m:ws_b.vb0
       in
       let fine = get_factored ?fcache ?fp ~step rc in
-      if mult_a <= 1 && mult_b <= 1 then begin
-        (* [step_solve2] trusts the shapes; check them once per pair. *)
-        if Array.length fine.g < n || Array.length rc.parent < n then
-          invalid_arg "Transient.solve_pair: factorisation/stage size mismatch";
-        for i = 1 to n - 1 do
-          let p = rc.parent.(i) in
-          if p < 0 || p >= i then
-            invalid_arg "Transient.solve_pair: parents not topological"
-        done;
+      (* [step_solve2] trusts the shapes; check them once per pair. *)
+      if Array.length fine.g < n || Array.length rc.parent < n then
+        invalid_arg "Transient.solve_pair: factorisation/stage size mismatch";
+      for i = 1 to n - 1 do
+        let p = rc.parent.(i) in
+        if p < 0 || p >= i then
+          invalid_arg "Transient.solve_pair: parents not topological"
+      done;
+      if mult_a <= 1 && mult_b <= 1 then
         march_pair rc fine ~step ~max_steps
           (lane_start ws_a ~n ~watch ~on_cross:on_a, 1. /. r_a, s_a /. 0.8,
            ws_a.r)
           (lane_start ws_b ~n ~watch ~on_cross:on_b, 1. /. r_b, s_b /. 0.8,
            ws_b.r)
-      end
       else
-        (* An adaptive lane keeps its own multi-rate march. *)
-        let ma =
-          march_one ~step ~mult:mult_a ?fcache ?fp ~fine ~ws:ws_a ~max_steps
-            rc ~r_drv:r_a ~s_drv:s_a ~watch ~on_cross:on_a
+        (* Each lane keeps its own multi-rate march; the driver fuses
+           the sweeps the two share. *)
+        let march ~mult ws ~s_drv ~on_cross solve =
+          march_core ~step ~mult ~fine ~rate:(coarse_rate ?fcache ?fp rc)
+            ~solve ~ws ~n ~ramp:(s_drv /. 0.8) ~watch ~on_cross ~max_steps
         in
-        let mb =
-          march_one ~step ~mult:mult_b ?fcache ?fp ~fine ~ws:ws_b ~max_steps
-            rc ~r_drv:r_b ~s_drv:s_b ~watch ~on_cross:on_b
-        in
-        (ma, mb)
+        march_pair_multi rc ~fine
+          (1. /. r_a, ws_a.r, march ~mult:mult_a ws_a ~s_drv:s_a ~on_cross:on_a)
+          (1. /. r_b, ws_b.r, march ~mult:mult_b ws_b ~s_drv:s_b ~on_cross:on_b)
     end
   in
   let res_a = rc_tap_results rc ~s_drv:s_a ~truncated:ma.truncated times_a in

@@ -113,6 +113,11 @@ val default_step : float
 (** [Auto { max_mult = 32 }] — the default for {!solve} and {!simulate}. *)
 val default_mode : mode
 
+(** The coarse-window multiple a march of [rc]'s taps from driver [r_drv]
+    resolves to under [mode] (default {!default_mode}): 1 for a
+    fine-only march, else the even [mult] of its [mult·step] windows. *)
+val march_rate : ?step:float -> ?mode:mode -> Rcnet.t -> r_drv:float -> int
+
 (** What one {!simulate} march did. [solves] counts linear-system solves
     actually performed (fine + coarse); [fine_equiv] is what a [Fixed]
     march over the same span would have taken, so [fine_equiv - solves]
@@ -161,12 +166,21 @@ val solve :
     together: [solve_pair ~ws:(wa, wb) rc ~r_drv:(ra, rb) ~s_drv:(sa, sb)]
     returns, bit for bit, what [solve ~ws:wa rc ~r_drv:ra ~s_drv:sa] and
     [solve ~ws:wb rc ~r_drv:rb ~s_drv:sb] would, and moves {!counters}
-    by the same amounts. When both drives resolve to a fine-only march
-    ([Fixed], or an [Auto] stage too stiff to coarsen) the two run as one
-    two-lane sweep over the shared fine factorisation, each lane with its
-    own driver, ramp, state and crossing scan; the lane that needs more
-    steps finishes alone. Otherwise each drive runs its own march. The
-    two workspaces must be distinct. *)
+    by the same amounts. The lanes share two-lane sweeps, each lane with
+    its own driver, ramp, state and crossing scan:
+    - when both drives resolve to a fine-only march ([Fixed], or an
+      [Auto] stage too stiff to coarsen), every step until the faster
+      lane finishes;
+    - otherwise each lane runs its own multi-rate march, and a step is
+      fused when both lanes' pending steps use the same factorisation —
+      by identity: the shared fine one (lead-ins, rewinds, a fine-only
+      partner) or a coarse rate both took from [fcache]. Without
+      [fcache] coarse rates are factored per lane, so only fine steps
+      fuse. Any other step runs alone on the single-lane kernel.
+    The lane with steps left finishes alone. The two workspaces must be
+    distinct.
+    @raise Invalid_argument on a shared workspace, or when [rc]'s parents
+    are not topological or a factorisation does not fit [rc]. *)
 val solve_pair :
   ?step:float -> ?mode:mode -> ?fcache:Fcache.t -> ?fp:int64 ->
   ?max_steps:int -> ws:workspace * workspace -> Rcnet.t ->

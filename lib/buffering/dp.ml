@@ -101,7 +101,15 @@ type params = {
 
 exception Infeasible of string
 
-let run tree p =
+(* Solved nodes between two calls of [run]'s [check]: a clock read every
+   few hundred nodes costs nothing next to their candidate lists, and
+   bounds how long a die-scale run outlives a deadline. *)
+let check_every = 256
+
+(* [check] is called every [check_every] solved nodes; whatever it raises
+   propagates, abandoning the run. *)
+let run ?(check = fun () -> ()) tree p =
+  let solved = ref 0 in
   let k = Tech.Units.rc_to_ps in
   let buf_r = Tech.Composite.r_out p.buf in
   let buf_cout = Tech.Composite.c_out p.buf in
@@ -193,6 +201,8 @@ let run tree p =
     walk cands 0
   in
   let rec solve id =
+    incr solved;
+    if !solved mod check_every = 0 then check ();
     let nd = Tree.node tree id in
     let base =
       match nd.Tree.kind with

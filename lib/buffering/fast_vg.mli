@@ -9,9 +9,12 @@
 exception Infeasible of string
 
 (** [insert tree ~buf ~cap_ceiling] — [step] defaults to 100 µm, [buckets]
-    to 48. @raise Infeasible as for {!Vanginneken.insert}. *)
+    to 48. [check] is called every 256 nodes the dynamic program solves;
+    an exception it raises propagates out of [insert] and leaves [tree]
+    untouched (a deadline check makes a long insertion interruptible).
+    @raise Infeasible as for {!Vanginneken.insert}. *)
 val insert :
-  Ctree.Tree.t -> buf:Tech.Composite.t -> ?step:int -> ?buckets:int ->
+  ?check:(unit -> unit) -> Ctree.Tree.t -> buf:Tech.Composite.t -> ?step:int -> ?buckets:int ->
   ?forbidden:(Geometry.Point.t -> bool) -> cap_ceiling:float ->
   unit -> Ctree.Tree.t
 

@@ -17,7 +17,11 @@ let rec size = function Leaf _ -> 1 | Node (a, b) -> size a + size b
 
 type cluster = { topo : t; pos : Point.t }
 
-let generate positions =
+(* Nearest-neighbour queries between two calls of [generate]'s
+   [check]. *)
+let check_every = 256
+
+let generate ?(check = fun () -> ()) positions =
   let n = Array.length positions in
   if n = 0 then invalid_arg "Topology.generate: no sinks";
   if n = 1 then Leaf 0
@@ -51,7 +55,10 @@ let generate positions =
     while !live > 1 do
       (* Candidate pair per live cluster: its nearest other live cluster. *)
       let candidates = ref [] in
+      let queries = ref 0 in
       Bucket.iter bucket (fun id p ->
+          incr queries;
+          if !queries mod check_every = 0 then check ();
           match Bucket.nearest bucket ~exclude:(fun j -> j = id) p with
           | Some (j, q) ->
             let a, b = if id < j then (id, j) else (j, id) in

@@ -8,8 +8,11 @@
 
 type t = Leaf of int | Node of t * t
 
-(** [generate positions] over at least one sink. Deterministic. *)
-val generate : Geometry.Point.t array -> t
+(** [generate positions] over at least one sink. Deterministic. [check]
+    is called every 256 nearest-neighbour queries; an exception it
+    raises propagates out of [generate] (a deadline check makes a
+    die-scale generation interruptible). *)
+val generate : ?check:(unit -> unit) -> Geometry.Point.t array -> t
 
 val leaves : t -> int list
 val depth : t -> int

@@ -87,7 +87,8 @@ type response =
   | Failed of { code : string; detail : string }
       (** [code] is ["deadline"] (budget exceeded, before or during
           execution), ["bad_request"] (unloadable spec / malformed
-          request) or ["crashed"] *)
+          request), ["infeasible"] (an [eval] whose sinks no buffer
+          insertion can drive within the slew limit) or ["crashed"] *)
 
 (** The idempotency key of a [Run]/[Eval] request ([None] for the rest). *)
 val request_key : request -> string option

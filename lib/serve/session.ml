@@ -265,6 +265,10 @@ let eval_request t ~deadline spec =
     let config = { t.config with Core.Config.deadline } in
     match Suite.Baseline.run ~config b with
     | exception Core.Ivc.Deadline_exceeded -> deadline_failed t
+    | exception Buffering.Fast_vg.Infeasible detail ->
+      (* No buffering meets the slew limit: a property of the spec, not
+         a worker failure. *)
+      Protocol.Failed { code = "infeasible"; detail }
     | exception e -> crash_failed t e (Printexc.get_raw_backtrace ())
     | r ->
       Atomic.incr t.served;

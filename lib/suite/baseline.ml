@@ -42,7 +42,8 @@ let run ?(config = Core.Config.default) (b : Format_io.t) =
   let t0 = Core.Monoclock.now () in
   let tech = b.Format_io.tech in
   let positions = Array.map (fun s -> s.Dme.Zst.pos) b.Format_io.sinks in
-  let topo = Dme.Topology.generate positions in
+  let check () = Core.Ivc.check_deadline config in
+  let topo = Dme.Topology.generate ~check positions in
   let tree =
     embed_centroid ~tech ~source:b.Format_io.source ~topo ~sinks:b.Format_io.sinks
   in
@@ -55,14 +56,14 @@ let run ?(config = Core.Config.default) (b : Format_io.t) =
       ~seg_len:config.Core.Config.seg_len t
   in
   let rec insert ceiling tries =
-    Core.Ivc.check_deadline config;
+    check ();
     let buffered =
-      Buffering.Fast_vg.insert tree ~buf ~step:config.Core.Config.vg_step
+      Buffering.Fast_vg.insert ~check tree ~buf ~step:config.Core.Config.vg_step
         ~cap_ceiling:ceiling ()
     in
     ignore
       (Core.Polarity.correct buffered ~buf ~strategy:Core.Polarity.Per_sink);
-    Core.Ivc.check_deadline config;
+    check ();
     let eval = evaluate buffered in
     if eval.Analysis.Evaluator.slew_violations = 0 || tries = 0 then
       (buffered, eval)

@@ -12,8 +12,9 @@ type result = {
   seconds : float;
 }
 
-(** [config.deadline] is checked before every buffer-insertion try and
-    before every evaluation.
+(** [config.deadline] is checked while the topology is generated and a
+    buffer insertion runs (every few hundred sinks or nodes), before every
+    insertion try and before every evaluation.
     @raise Core.Ivc.Deadline_exceeded once it has passed. *)
 val run :
   ?config:Core.Config.t -> Format_io.t -> result

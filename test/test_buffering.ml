@@ -126,6 +126,41 @@ let test_zero_length_edges () =
   Alcotest.(check (list string)) "valid" [] (Ctree.Validate.check buffered);
   check_bool "stage caps bounded" true (max_stage_cap buffered <= 201.)
 
+let buffers tree =
+  let k = ref 0 in
+  Tree.iter tree (fun nd ->
+      match nd.Tree.kind with Tree.Buffer _ -> incr k | _ -> ());
+  !k
+
+(* [insert ~check] calls [check] every 256 solved nodes. A quiet check
+   changes nothing; one that raises on its k-th call aborts the dynamic
+   program with that exception, and the input tree stays unbuffered. *)
+let test_check_interrupts () =
+  let zst = random_zst 7 600 in
+  let size0 = Tree.size zst in
+  let insert ?check () =
+    Buffering.Fast_vg.insert ?check zst ~buf:buf8 ~cap_ceiling:450. ()
+  in
+  let calls = ref 0 in
+  let plain = insert () in
+  let quiet = insert ~check:(fun () -> incr calls) () in
+  check_int "a quiet check calls every 256 nodes" (size0 / 256) !calls;
+  check_int "a quiet check changes nothing" (buffers plain) (buffers quiet);
+  check_bool "the plain run buffers" true (buffers plain > 0);
+  let k = 3 in
+  calls := 0;
+  (match
+     insert
+       ~check:(fun () ->
+         incr calls;
+         if !calls = k then raise Exit)
+       ()
+   with
+  | _ -> Alcotest.fail "a raising check must abort the insertion"
+  | exception Exit -> check_int "aborted on the k-th call" k !calls);
+  check_int "input tree unbuffered" 0 (buffers zst);
+  check_int "input tree unchanged" size0 (Tree.size zst)
+
 let insertion_qcheck =
   QCheck.Test.make
     ~name:"vg: random trees stay valid, stage caps bounded, sinks kept"
@@ -165,5 +200,6 @@ let () =
          Alcotest.test_case "forbidden region" `Quick test_forbidden_region;
          Alcotest.test_case "polarity oblivious" `Quick test_polarity_oblivious;
          Alcotest.test_case "zero-length edges" `Quick test_zero_length_edges;
+         Alcotest.test_case "check interrupts" `Quick test_check_interrupts;
          q insertion_qcheck; q buffer_count_qcheck ]);
     ]

@@ -35,6 +35,27 @@ let test_topology_balance () =
   let d = Topology.depth topo in
   check_bool "depth close to log2" true (d >= 7 && d <= 11)
 
+(* [generate ~check] calls [check] every 256 nearest-neighbour queries:
+   a quiet check leaves the topology as it was, and one that raises on
+   its k-th call aborts generation with that exception. *)
+let test_topology_check () =
+  let pts = random_sinks 5 2000 1_000_000 |> Array.map (fun s -> s.Dme.Zst.pos) in
+  let calls = ref 0 in
+  let quiet = Topology.generate ~check:(fun () -> incr calls) pts in
+  check_bool "a quiet check changes nothing" true
+    (quiet = Topology.generate pts);
+  check_bool "called during the rounds" true (!calls >= 2000 / 256);
+  calls := 0;
+  match
+    Topology.generate
+      ~check:(fun () ->
+        incr calls;
+        if !calls = 3 then raise Exit)
+      pts
+  with
+  | _ -> Alcotest.fail "a raising check must abort generation"
+  | exception Exit -> check_int "aborted on the 3rd call" 3 !calls
+
 let test_topology_single () =
   check_bool "single sink" true (Topology.generate [| Point.make 5 5 |] = Topology.Leaf 0)
 
@@ -237,7 +258,8 @@ let () =
       ("topology",
        [ Alcotest.test_case "leaves" `Quick test_topology_leaves;
          Alcotest.test_case "balance" `Quick test_topology_balance;
-         Alcotest.test_case "single" `Quick test_topology_single ]);
+         Alcotest.test_case "single" `Quick test_topology_single;
+         Alcotest.test_case "check interrupts" `Quick test_topology_check ]);
       ("merge",
        [ Alcotest.test_case "symmetric" `Quick test_merge_symmetric;
          Alcotest.test_case "asymmetric caps" `Quick test_merge_asymmetric_caps;

@@ -196,6 +196,29 @@ let test_eval_deadline () =
         (stats_field addr "deadline_expired");
       check_int "no crashed requests" 0 (stats_field addr "crashed"))
 
+(* A fixture file under test/, from the test directory (dune runtest)
+   or the repository root (dune exec). *)
+let fixture name =
+  if Sys.file_exists name then name else Filename.concat "test" name
+
+(* An Eval whose spec no buffering can make slew-legal (one sink heavier
+   than the insertion ceiling) is the spec's fault: a structured
+   [infeasible] reply naming the sink, and no crash counted. *)
+let test_eval_infeasible () =
+  with_server (fun addr ->
+      (match
+         Client.oneshot addr
+           (Protocol.Eval
+              { spec = fixture "infeasible_sink.cts"; timeout_s = None;
+                request_key = None })
+       with
+      | Ok (Protocol.Failed { code; detail }) ->
+        check_string "code" "infeasible" code;
+        check_bool "detail names the load" true (contains detail "exceeds")
+      | Ok _ -> Alcotest.fail "expected an infeasible failure"
+      | Error e -> Alcotest.fail e);
+      check_int "no crashed requests" 0 (stats_field addr "crashed"))
+
 let test_bad_spec_request () =
   with_server (fun addr ->
       List.iter
@@ -535,6 +558,7 @@ let () =
        [ Alcotest.test_case "cross-request cache reuse" `Slow test_cache_reuse;
          Alcotest.test_case "deadline expiry" `Quick test_deadline;
          Alcotest.test_case "eval deadline" `Quick test_eval_deadline;
+         Alcotest.test_case "eval infeasible" `Quick test_eval_infeasible;
          Alcotest.test_case "bad spec" `Quick test_bad_spec_request;
          Alcotest.test_case "backpressure at max-queue" `Slow
            test_backpressure ]);

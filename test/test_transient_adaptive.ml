@@ -269,18 +269,19 @@ let counters_delta f =
    (delay, slew) bits per lane and identical counter deltas. Returns the
    singles' per-lane counter deltas for callers that check which path
    the lanes took. *)
-let check_pair_matches ?mode ?max_steps ~label rc (ra, sa) (rb, sb) =
-  let fcache = Tr.Fcache.create () in
+let check_pair_matches ?mode ?max_steps ?(cached = true) ~label rc (ra, sa)
+    (rb, sb) =
+  let fcache = if cached then Some (Tr.Fcache.create ()) else None in
   let single r_drv s_drv =
     counters_delta (fun () ->
-        Tr.solve ?mode ?max_steps ~fcache ~ws:(Tr.workspace ()) rc ~r_drv
+        Tr.solve ?mode ?max_steps ?fcache ~ws:(Tr.workspace ()) rc ~r_drv
           ~s_drv)
   in
   let a, da = single ra sa in
   let b, db = single rb sb in
   let (pa, pb), dp =
     counters_delta (fun () ->
-        Tr.solve_pair ?mode ?max_steps ~fcache
+        Tr.solve_pair ?mode ?max_steps ?fcache
           ~ws:(Tr.workspace (), Tr.workspace ())
           rc ~r_drv:(ra, rb) ~s_drv:(sa, sb))
   in
@@ -369,6 +370,171 @@ let test_pair_one_adaptive () =
   in
   check_bool "lane order does not matter" true (saved_a > 0 && saved_b = 0)
 
+(* ---------- multi-rate pairs ---------- *)
+
+(* Which multi-rate situations a random pair exercised. A lane counts as
+   coarse when its single march committed coarse windows (saved > 0). *)
+type coverage = {
+  mutable equal_rates : int;      (* both coarse at one rate *)
+  mutable unequal_rates : int;    (* both coarse at different rates *)
+  mutable fine_and_coarse : int;  (* one fine-only lane, one coarse *)
+  mutable rewind_vs_window : int; (* a lane rewinds past the other's lead-in *)
+  mutable trunc_a : int;          (* a multi-rate lane a truncates *)
+  mutable trunc_b : int;          (* a multi-rate lane b truncates *)
+  mutable uncached : int;         (* both coarse without an fcache *)
+}
+
+let step = Tr.default_step
+
+(* When a lane's march leaves its fine lead-in (ps), from the controller's
+   documented lead: the ramp plus four coarse windows. *)
+let lead_end ~mult ~s_drv =
+  let ramp = s_drv /. 0.8 in
+  (ceil (ramp /. step) +. (4. *. float_of_int mult)) *. step
+
+(* 50 % crossing times (ps) of a lane's finite results. *)
+let t50s ~s_drv res =
+  Array.to_list res
+  |> List.filter_map (fun (d, _) ->
+         if Float.is_finite d then Some (d +. (s_drv /. 0.8 /. 2.)) else None)
+
+(* Some crossing of lane x fires inside one of its rewinds (after its
+   lead-in) while lane y is past its own lead-in with a crossing still to
+   come: y is marching coarse windows while x re-integrates at the fine
+   step. *)
+let rewinds_past x y =
+  let (mx, sx, rx), (my, sy, ry) = (x, y) in
+  let last_y = List.fold_left Float.max neg_infinity (t50s ~s_drv:sy ry) in
+  List.exists
+    (fun t ->
+      t > lead_end ~mult:mx ~s_drv:sx && t > lead_end ~mult:my ~s_drv:sy
+      && t < last_y)
+    (t50s ~s_drv:sx rx)
+
+(* Random stages whose lanes mostly coarsen: Auto at several caps or a
+   fixed Adaptive rate, unequal drives, a step budget a quarter of the
+   time and no fcache a third of the time. Every pair must match its two
+   singles bit for bit and in counter deltas; [cov] tallies what the
+   pair exercised. *)
+let prop_pair_multirate cov =
+  QCheck.Test.make ~name:"multi-rate pair = two singles" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let rc = any_rc rng in
+      let scale = if Random.State.bool rng then 1. else 3. in
+      let rc =
+        { rc with Rcnet.cap = Array.map (fun c -> c *. scale) rc.Rcnet.cap }
+      in
+      (* A strong driver a third of the time, so Auto keeps some lanes
+         fine-only. *)
+      let drive () =
+        let r, s = random_drive rng in
+        if Random.State.int rng 3 = 0 then (r /. 20., s) else (r, s)
+      in
+      let ra, sa = drive () in
+      let rb, sb = drive () in
+      let mode =
+        if Random.State.bool rng then
+          Tr.Auto { max_mult = [| 16; 32; 64 |].(Random.State.int rng 3) }
+        else Tr.Adaptive { mult = 12 + Random.State.int rng 30 }
+      in
+      let max_steps =
+        if Random.State.int rng 4 = 0 then
+          Some (20 + Random.State.int rng 3000)
+        else None
+      in
+      let cached = Random.State.int rng 3 > 0 in
+      let label = Printf.sprintf "seed %d" seed in
+      let (_, saved_a, tr_a), (_, saved_b, tr_b) =
+        check_pair_matches ~mode ?max_steps ~cached ~label rc (ra, sa)
+          (rb, sb)
+      in
+      let mult_a = Tr.march_rate ~mode rc ~r_drv:ra
+      and mult_b = Tr.march_rate ~mode rc ~r_drv:rb in
+      let coarse_a = saved_a > 0 and coarse_b = saved_b > 0 in
+      if coarse_a && coarse_b then begin
+        if mult_a = mult_b then cov.equal_rates <- cov.equal_rates + 1
+        else cov.unequal_rates <- cov.unequal_rates + 1;
+        if not cached then cov.uncached <- cov.uncached + 1
+      end;
+      if (mult_a = 1 && coarse_b) || (coarse_a && mult_b = 1) then
+        cov.fine_and_coarse <- cov.fine_and_coarse + 1;
+      if mult_a > 1 && tr_a = 1 then cov.trunc_a <- cov.trunc_a + 1;
+      if mult_b > 1 && tr_b = 1 then cov.trunc_b <- cov.trunc_b + 1;
+      if coarse_a && coarse_b && max_steps = None then begin
+        let res r s = Tr.solve ~mode rc ~r_drv:r ~s_drv:s in
+        let la = (mult_a, sa, res ra sa) and lb = (mult_b, sb, res rb sb) in
+        if rewinds_past la lb || rewinds_past lb la then
+          cov.rewind_vs_window <- cov.rewind_vs_window + 1
+      end;
+      true)
+
+let test_pair_multirate () =
+  let cov =
+    { equal_rates = 0; unequal_rates = 0; fine_and_coarse = 0;
+      rewind_vs_window = 0; trunc_a = 0; trunc_b = 0; uncached = 0 }
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 2027 |])
+    (prop_pair_multirate cov);
+  List.iter
+    (fun (what, k) ->
+      check_bool (Printf.sprintf "covers %s (%d cases)" what k) true (k >= 5))
+    [ ("both coarse, equal rates", cov.equal_rates);
+      ("both coarse, unequal rates", cov.unequal_rates);
+      ("one fine lane, one coarse", cov.fine_and_coarse);
+      ("a rewind while the other lane is in windows", cov.rewind_vs_window);
+      ("lane a truncating at a coarse rate", cov.trunc_a);
+      ("lane b truncating at a coarse rate", cov.trunc_b);
+      ("both coarse without an fcache", cov.uncached) ]
+
+(* Two coarse lanes at one rate, one truncating: the budget falls
+   between the lanes' fine-step equivalents, in either lane order. *)
+let test_pair_multirate_truncation () =
+  let rc = long_chain_rc 120 in
+  let mode = Tr.Adaptive { mult = 16 } in
+  let a = (150., 10.) and b = (1500., 40.) in
+  let (sa, saved_a, _), (sb, saved_b, _) =
+    check_pair_matches ~mode ~label:"full" rc a b
+  in
+  check_bool "both lanes coarse" true (saved_a > 0 && saved_b > 0);
+  let budget = ((sa + saved_a) + (sb + saved_b)) / 2 in
+  let (_, _, ta), (_, _, tb) =
+    check_pair_matches ~mode ~max_steps:budget ~label:"b truncates" rc a b
+  in
+  check_bool "only the slow lane truncates" true (ta = 0 && tb = 1);
+  let (_, _, tb'), (_, _, ta') =
+    check_pair_matches ~mode ~max_steps:budget ~label:"a truncates" rc b a
+  in
+  check_bool "lane order does not matter" true (ta' = 0 && tb' = 1)
+
+(* A driver-side kernel failure mid-pair (a cached coarse factorisation
+   of the wrong size under the stage's fingerprint) propagates out of
+   [solve_pair]; both suspended lanes are unwound, and the workspaces
+   still serve an exact pair afterwards. *)
+let test_pair_raise () =
+  let rc = long_chain_rc 60 and small = long_chain_rc 5 in
+  let mode = Tr.Adaptive { mult = 16 } in
+  let fcache = Tr.Fcache.create () in
+  let fp = 42L in
+  ignore (Tr.Fcache.get fcache ~fp rc ~step);
+  List.iter
+    (fun stp -> ignore (Tr.Fcache.get fcache ~fp small ~step:stp))
+    [ step *. 16.; step *. 8.; step *. 4. ];
+  let ws = (Tr.workspace (), Tr.workspace ()) in
+  let run ?fp fcache =
+    Tr.solve_pair ~mode ~fcache ?fp ~ws rc ~r_drv:(300., 900.)
+      ~s_drv:(10., 30.)
+  in
+  (match run ~fp fcache with
+  | _ -> Alcotest.fail "a mis-sized coarse factorisation must raise"
+  | exception Invalid_argument _ -> ());
+  let pa, pb = run (Tr.Fcache.create ()) in
+  same_results "after a raise, lane a"
+    (Tr.solve ~mode ~ws:(Tr.workspace ()) rc ~r_drv:300. ~s_drv:10.) pa;
+  same_results "after a raise, lane b"
+    (Tr.solve ~mode ~ws:(Tr.workspace ()) rc ~r_drv:900. ~s_drv:30.) pb
+
 let test_pair_degenerate () =
   let one =
     { Rcnet.parent = [| -1 |]; res = [| 0. |]; cap = [| 6. |];
@@ -422,5 +588,10 @@ let () =
           Alcotest.test_case "truncation" `Quick test_pair_truncation;
           Alcotest.test_case "one lane adaptive" `Quick test_pair_one_adaptive;
           Alcotest.test_case "n = 1 and no taps" `Quick test_pair_degenerate;
+          Alcotest.test_case "multi-rate = two singles" `Quick
+            test_pair_multirate;
+          Alcotest.test_case "multi-rate truncation" `Quick
+            test_pair_multirate_truncation;
+          Alcotest.test_case "a raising pair unwinds" `Quick test_pair_raise;
         ] );
     ]
