@@ -3,33 +3,15 @@ module Evaluator = Analysis.Evaluator
 
 type step = Initial | Tbsz | Twsz | Twsn | Bwsn | Stitch | Polish
 
-let step_name = function
-  | Initial -> "INITIAL"
-  | Tbsz -> "TBSZ"
-  | Twsz -> "TWSZ"
-  | Twsn -> "TWSN"
-  | Bwsn -> "BWSN"
-  | Stitch -> "STITCH"
-  | Polish -> "POLISH"
+(* Pipeline order: a step's rank is its index here, its name the
+   checkpoint file name and the trace label. *)
+let steps =
+  [ (Initial, "INITIAL"); (Tbsz, "TBSZ"); (Twsz, "TWSZ"); (Twsn, "TWSN");
+    (Bwsn, "BWSN"); (Stitch, "STITCH"); (Polish, "POLISH") ]
 
-let step_of_name = function
-  | "INITIAL" -> Some Initial
-  | "TBSZ" -> Some Tbsz
-  | "TWSZ" -> Some Twsz
-  | "TWSN" -> Some Twsn
-  | "BWSN" -> Some Bwsn
-  | "STITCH" -> Some Stitch
-  | "POLISH" -> Some Polish
-  | _ -> None
-
-let rank = function
-  | Initial -> 0
-  | Tbsz -> 1
-  | Twsz -> 2
-  | Twsn -> 3
-  | Bwsn -> 4
-  | Stitch -> 5
-  | Polish -> 6
+let step_name s = List.assoc s steps
+let step_of_name n = List.assoc_opt n (List.map (fun (s, m) -> (m, s)) steps)
+let rank s = Option.get (List.find_index (fun (x, _) -> x = s) steps)
 
 type trace_entry = {
   step : step;

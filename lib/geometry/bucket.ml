@@ -82,12 +82,10 @@ let nearest t ?(exclude = fun _ -> false) p =
       (match !best with
       | Some (bd, _, _) when bd <= !r * t.cell -> continue := false
       | _ -> ());
-      (* Safety stop: beyond the populated area nothing more can appear. *)
-      if !r > 4 + (Hashtbl.length t.cells * 2) && !best <> None then continue := false
-      else if !r > 4 + (Hashtbl.length t.cells * 2) && Hashtbl.length t.ids > 0 && !best = None
-      then begin
-        (* Sparse fallback: direct scan (can only happen for far-away
-           queries relative to the populated region). *)
+      (* Safety stop for far or sparse queries: past this many rings a
+         direct scan of every member is cheaper than more rings, and it
+         is exact where the ring bound has not yet proved [best]. *)
+      if !continue && !r > 4 + (Hashtbl.length t.cells * 2) then begin
         Hashtbl.iter consider t.ids;
         continue := false
       end;

@@ -1,6 +1,6 @@
 (* Minimal scripted client for the serve protocol: one connection, one
    request/response exchange per call. Used by the [contango client]
-   subcommand, the serve tests and the CONTANGO_BENCH_SERVE harness. *)
+   subcommand, the serve tests and perfbench's serve_mix workload. *)
 
 let connect sockaddr =
   let fd =

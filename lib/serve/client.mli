@@ -1,5 +1,5 @@
 (** Scripted client for the serve protocol — the [contango client]
-    subcommand, the serve tests and the CONTANGO_BENCH_SERVE harness all
+    subcommand, the serve tests and perfbench's serve_mix workload all
     go through these calls. *)
 
 (** Connect a stream socket to the daemon.

@@ -24,14 +24,17 @@ let load_bench s =
     (* [ti:]/[grid:] sizes must be strictly positive integers: a generator
        handed 0 or a negative count would otherwise fail obscurely deep
        in topology construction (or not at all, looping on an empty sink
-       set). A [ti:] count past the die's candidate sites fails here too,
-       not as the generator's [Invalid_argument]. *)
-    let sized ?(max = max_int) p body =
+       set). A sink count past the die's candidate sites fails here too,
+       not as the generator's [Invalid_argument]; [grid:<n>] has n·n
+       sinks, compared as [n <= limit / n] so that n·n cannot overflow. *)
+    let limit = Gen_ti.candidate_count in
+    let sized ?(square = false) p body =
       match int_of_string_opt body with
-      | Some n when n > 0 && n <= max -> n
+      | Some n when n > 0 && n <= (if square then limit / n else limit) -> n
       | Some n when n > 0 ->
         failwith
-          (Printf.sprintf "%s: %s:<n> needs at most %d sinks, got %d" s p max n)
+          (Printf.sprintf "%s: %s:<n> needs at most %d sinks, got %s" s p limit
+             (if square then Printf.sprintf "%dx%d" n n else string_of_int n))
       | Some n ->
         failwith
           (Printf.sprintf "%s: %s:<n> needs a positive sink count, got %d" s p n)
@@ -40,9 +43,8 @@ let load_bench s =
           (Printf.sprintf "%s: %s:<n> needs a positive integer, got %S" s p body)
     in
     match (prefixed "ti", prefixed "grid") with
-    | Some body, _ ->
-      Gen_ti.generate (sized ~max:Gen_ti.candidate_count "ti" body)
-    | _, Some body -> Gen_grid.generate ~n:(sized "grid" body) ()
+    | Some body, _ -> Gen_ti.generate (sized "ti" body)
+    | _, Some body -> Gen_grid.generate ~n:(sized ~square:true "grid" body) ()
     | None, None ->
       failwith
         (Printf.sprintf

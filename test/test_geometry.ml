@@ -350,7 +350,18 @@ let test_bucket_basic () =
   | None -> Alcotest.fail "nearest must exist");
   Bucket.remove b 3;
   check_int "size after remove" 2 (Bucket.size b);
-  check_bool "mem" false (Bucket.mem b 3)
+  check_bool "mem" false (Bucket.mem b 3);
+  (* Two populated cells cap the ring search at ring 9. By then only the
+     farther (848,0) on ring 8, at distance 983, has been seen; the nearer
+     (960,113), at 982, sits on ring 10. *)
+  let b = Bucket.create ~cell:64 in
+  Bucket.add b 0 (Point.make 960 113);
+  Bucket.add b 1 (Point.make 848 0);
+  match Bucket.nearest b (Point.make 321 456) with
+  | Some (id, q) ->
+    check_int "nearest past the ring limit" 0 id;
+    check_int "its distance" 982 (Point.dist (Point.make 321 456) q)
+  | None -> Alcotest.fail "nearest must exist"
 
 let bucket_qcheck =
   QCheck.Test.make ~name:"bucket: nearest matches brute force" ~count:100

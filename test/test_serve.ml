@@ -146,7 +146,49 @@ let test_cache_reuse () =
         Json.to_float
           (Option.bind (Json.member "result" body) (Json.member "skew_ps"))
       in
-      check_bool "identical result" true (skew first = skew second))
+      check_bool "identical result" true (skew first = skew second));
+  (* Concurrent replay: one warm-up run per spec fills the shared store,
+     then 4 clients × 6 requests replay the same specs at once. The
+     cross-request hit rate (store hits over store lookups) must be
+     nonzero. Each client records its own counts; failures surface after
+     the join, not inside a thread. *)
+  with_server ~max_queue:32 (fun addr ->
+      let specs = [| "ti:60"; "ti:100"; "grid:4" |] in
+      let clients = 4 and per_client = 6 in
+      Array.iter (fun spec -> ignore (run_ok addr spec)) specs;
+      let counts = Array.make clients (Ok (0, 0)) in
+      let threads =
+        List.init clients (fun c ->
+            Thread.create
+              (fun () ->
+                counts.(c) <-
+                  (try
+                     let hits = ref 0 and lookups = ref 0 in
+                     for i = 0 to per_client - 1 do
+                       let body =
+                         run_ok addr specs.((c + i) mod Array.length specs)
+                       in
+                       let h = cache_field body "store_hits" in
+                       hits := !hits + h;
+                       lookups := !lookups + h + cache_field body "store_misses"
+                     done;
+                     Ok (!hits, !lookups)
+                   with e -> Error (Printexc.to_string e)))
+              ())
+      in
+      List.iter Thread.join threads;
+      let hits, lookups =
+        Array.fold_left
+          (fun (h, l) -> function
+            | Ok (h', l') -> (h + h', l + l')
+            | Error e -> Alcotest.failf "replay client failed: %s" e)
+          (0, 0) counts
+      in
+      check_bool
+        (Printf.sprintf "replay hit rate is nonzero (%d of %d lookups)" hits
+           lookups)
+        true
+        (lookups > 0 && hits > 0))
 
 let test_deadline () =
   with_server (fun addr ->
@@ -524,6 +566,8 @@ let test_bad_specs_are_structured () =
       ("grid:0", "positive");
       ("ti:many", "positive integer");
       ("ti:135001", "at most 135000 sinks");
+      ("grid:400", "at most 135000 sinks");
+      ("grid:4000000000", "at most 135000 sinks");
       ("no-such-bench.cts", "");
     ]
 

@@ -238,28 +238,34 @@ let test_dirty_refresh_agreement () =
 (* ---------- speculation width determinism ---------- *)
 
 let test_width_determinism () =
-  let b = Suite.Runner.load_bench "ti:200" in
-  let run width =
-    let config = { Core.Config.default with Core.Config.speculation = width } in
-    let r0 = Ev.eval_count () in
-    let r =
-      Core.Flow.run ~config ~tech:b.Suite.Format_io.tech
-        ~source:b.Suite.Format_io.source
-        ~obstacles:b.Suite.Format_io.obstacles b.Suite.Format_io.sinks
-    in
-    (r, Ev.eval_count () - r0)
-  in
-  let r1, e1 = run 1 in
-  let r4, e4 = run 4 in
-  check_near 0. "final skew identical at widths 1 and 4"
-    r1.Core.Flow.final.Ev.skew r4.Core.Flow.final.Ev.skew;
-  check_near 0. "final CLR identical" r1.Core.Flow.final.Ev.clr
-    r4.Core.Flow.final.Ev.clr;
-  check_bool "final trees bit-identical" true
-    (Tree.digest r1.Core.Flow.tree = Tree.digest r4.Core.Flow.tree);
-  (* Serial exploration stops at each round's winner; wider runs may
-     additionally evaluate (and discard) losing ladder rungs. *)
-  check_bool "serial evaluates no more than width 4" true (e1 <= e4)
+  List.iter
+    (fun spec ->
+      let b = Suite.Runner.load_bench spec in
+      let run width =
+        let config =
+          { Core.Config.default with Core.Config.speculation = width }
+        in
+        let r0 = Ev.eval_count () in
+        let r =
+          Core.Flow.run ~config ~tech:b.Suite.Format_io.tech
+            ~source:b.Suite.Format_io.source
+            ~obstacles:b.Suite.Format_io.obstacles b.Suite.Format_io.sinks
+        in
+        (r, Ev.eval_count () - r0)
+      in
+      let name what = Printf.sprintf "%s %s" spec what in
+      let r1, e1 = run 1 in
+      let r4, e4 = run 4 in
+      check_near 0. (name "final skew identical at widths 1 and 4")
+        r1.Core.Flow.final.Ev.skew r4.Core.Flow.final.Ev.skew;
+      check_near 0. (name "final CLR identical") r1.Core.Flow.final.Ev.clr
+        r4.Core.Flow.final.Ev.clr;
+      check_bool (name "final trees bit-identical") true
+        (Tree.digest r1.Core.Flow.tree = Tree.digest r4.Core.Flow.tree);
+      (* Serial exploration stops at each round's winner; wider runs may
+         additionally evaluate (and discard) losing ladder rungs. *)
+      check_bool (name "serial evaluates no more than width 4") true (e1 <= e4))
+    [ "ti:200"; "ti:1000" ]
 
 (* ---------- monotonic deadline ---------- *)
 

@@ -280,27 +280,59 @@ let test_on_width_independence () =
   check_int "ranked eval counts identical across widths"
     r1.Core.Flow.eval_runs r4.Core.Flow.eval_runs
 
-(* Ranking must save evaluations and stay within the quality tolerance
-   of the unranked search (it may converge to a nearby optimum). *)
+(* Ranking must save evaluations across the Table V family (200-2000
+   sinks) and stay within the quality tolerance of the unranked search
+   on every instance (it may converge to a nearby optimum). Width 1 pins
+   the unranked reference to the serial lazy scan, whose counts do not
+   depend on the machine's core count. *)
 let test_on_vs_off_budget () =
-  let b = Suite.Runner.load_bench "ti:500" in
-  let off = run_flow ~surrogate:false ~speculation:1 b in
-  let on = run_flow ~surrogate:true ~speculation:1 b in
-  check_bool "ranking does not cost extra evaluations" true
-    (on.Core.Flow.eval_runs <= off.Core.Flow.eval_runs);
   let tol = 0.5 in
-  check_bool "final skew within tolerance of unranked" true
-    (on.Core.Flow.final.Ev.skew
-     <= off.Core.Flow.final.Ev.skew +. tol);
-  check_bool "final CLR within tolerance of unranked" true
-    (on.Core.Flow.final.Ev.clr <= off.Core.Flow.final.Ev.clr +. tol);
-  match on.Core.Flow.surrogate with
-  | None -> Alcotest.fail "surrogate-on run lost its stats"
-  | Some s ->
-    check_bool "calibration observed measured pairs" true
-      Surrogate.(s.observations > 0);
-    check_bool "some rounds went through ranking" true
-      Surrogate.(s.ranked_rounds > 0)
+  let rows =
+    List.map
+      (fun n ->
+        let b = Suite.Runner.load_bench (Printf.sprintf "ti:%d" n) in
+        let off = run_flow ~surrogate:false ~speculation:1 b in
+        let on = run_flow ~surrogate:true ~speculation:1 b in
+        let name what = Printf.sprintf "ti:%d %s" n what in
+        check_bool (name "final skew within tolerance of unranked") true
+          (on.Core.Flow.final.Ev.skew <= off.Core.Flow.final.Ev.skew +. tol);
+        check_bool (name "final CLR within tolerance of unranked") true
+          (on.Core.Flow.final.Ev.clr <= off.Core.Flow.final.Ev.clr +. tol);
+        (match on.Core.Flow.surrogate with
+        | None -> Alcotest.fail (name "surrogate-on run lost its stats")
+        | Some s ->
+          check_bool (name "calibration observed measured pairs") true
+            Surrogate.(s.observations > 0);
+          check_bool (name "some rounds went through ranking") true
+            Surrogate.(s.ranked_rounds > 0));
+        (* Per instance only at ti:500; the budget over the family is
+           the aggregate below (ti:2000 ranked spends a few more). *)
+        if n = 500 then
+          check_bool (name "ranking does not cost extra evaluations") true
+            (on.Core.Flow.eval_runs <= off.Core.Flow.eval_runs);
+        (off.Core.Flow.eval_runs, on.Core.Flow.eval_runs))
+      [ 200; 500; 1_000; 2_000 ]
+  in
+  let total f = List.fold_left (fun a r -> a + f r) 0 rows in
+  let off = total fst and on = total snd in
+  check_bool
+    (Printf.sprintf "ranked family within the 280-run budget (%d)" on)
+    true (on <= 280);
+  check_bool
+    (Printf.sprintf "ranking saves at least 10%% of evaluations (%d -> %d)"
+       off on)
+    true
+    (10 * (off - on) >= off)
+
+(* The Pareto sweep's points share one family store, so later points
+   reuse the stages and factorisations of earlier ones. *)
+let test_pareto_store_reuse () =
+  let b = Suite.Runner.load_bench "ti:500" in
+  let sweep = Suite.Pareto.run ~jobs:0 ~config:Core.Config.scalability b in
+  let rate = Suite.Pareto.hit_rate sweep in
+  check_bool
+    (Printf.sprintf "cross-point store hit rate above 0.5 (%.3f)" rate)
+    true (rate > 0.5)
 
 (* ---------- suite store-hit reporting ---------- *)
 
@@ -363,6 +395,8 @@ let () =
             test_on_width_independence;
           Alcotest.test_case "ranking saves evals within tolerance" `Quick
             test_on_vs_off_budget;
+          Alcotest.test_case "pareto sweep reuses the family store" `Quick
+            test_pareto_store_reuse;
         ] );
       ( "suite",
         [
