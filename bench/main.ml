@@ -6,14 +6,16 @@
      CONTANGO_BENCH_FULL=1 dune exec bench/main.exe   (adds the 20K/50K rows)
      CONTANGO_BENCH_QUICK=1 dune exec bench/main.exe  (Table V up to 2K, no kernels)
 
-   Artifacts (results.json, eval_total.txt, SVGs) land in bench_out/. *)
+   Artifacts (results.json, eval_total.txt, SVGs) land in bench_out/, or
+   in the untracked bench_out/quick/ for a quick run, so that a quick run
+   never overwrites the committed full-run results.json. *)
 
 open Geometry
 module Ev = Analysis.Evaluator
 
 let full = Sys.getenv_opt "CONTANGO_BENCH_FULL" <> None
 let quick = Sys.getenv_opt "CONTANGO_BENCH_QUICK" <> None
-let out_dir = "bench_out"
+let out_dir = if quick then Filename.concat "bench_out" "quick" else "bench_out"
 
 let fmt = Suite.Report.fmt
 
@@ -574,7 +576,9 @@ let kernels () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  (try Unix.mkdir out_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  List.iter
+    (fun d -> try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+    [ "bench_out"; out_dir ];
   let t0 = Core.Monoclock.now () in
   Printf.printf
     "Contango benchmark harness — reproduces the DATE'10 evaluation\n\

@@ -36,9 +36,25 @@ let generate ?(check = fun () -> ()) positions =
     let span = max 1 (max (Rect.width bbox) (Rect.height bbox)) in
     let next_id = ref n in
     let live = ref n in
-    let cell = max 1 (span / max 1 (int_of_float (sqrt (float_of_int n)))) in
-    let bucket = Bucket.create ~cell in
-    Array.iteri (fun i p -> Bucket.add bucket i p) positions;
+    (* The grid cell is sized for about one cluster per cell. Each round
+       roughly halves the live clusters, so a grid kept from round one
+       would leave later nearest-neighbour scans walking ever more empty
+       cells; it is rebuilt once the live count falls below a quarter of
+       the count it was sized for. [Bucket.nearest] is exact with an id
+       tie-break, so the cell size never changes the topology. *)
+    let grid_for count =
+      let cell = max 1 (span / max 1 (int_of_float (sqrt (float_of_int count)))) in
+      Bucket.create ~cell
+    in
+    let sized_for = ref n in
+    let bucket = ref (grid_for n) in
+    Array.iteri (fun i p -> Bucket.add !bucket i p) positions;
+    let regrid () =
+      let fresh = grid_for !live in
+      Bucket.iter !bucket (fun id p -> Bucket.add fresh id p);
+      bucket := fresh;
+      sized_for := !live
+    in
     let get i = match !clusters.(i) with Some c -> c | None -> assert false in
     let add_cluster c =
       let id = !next_id in
@@ -49,17 +65,18 @@ let generate ?(check = fun () -> ()) positions =
         clusters := bigger
       end;
       !clusters.(id) <- Some c;
-      Bucket.add bucket id c.pos;
+      Bucket.add !bucket id c.pos;
       id
     in
     while !live > 1 do
+      if 4 * !live < !sized_for then regrid ();
       (* Candidate pair per live cluster: its nearest other live cluster. *)
       let candidates = ref [] in
       let queries = ref 0 in
-      Bucket.iter bucket (fun id p ->
+      Bucket.iter !bucket (fun id p ->
           incr queries;
           if !queries mod check_every = 0 then check ();
-          match Bucket.nearest bucket ~exclude:(fun j -> j = id) p with
+          match Bucket.nearest !bucket ~exclude:(fun j -> j = id) p with
           | Some (j, q) ->
             let a, b = if id < j then (id, j) else (j, id) in
             candidates := (Point.dist p q, a, b) :: !candidates
@@ -79,8 +96,8 @@ let generate ?(check = fun () -> ()) positions =
             Hashtbl.replace matched a ();
             Hashtbl.replace matched b ();
             let ca = get a and cb = get b in
-            Bucket.remove bucket a;
-            Bucket.remove bucket b;
+            Bucket.remove !bucket a;
+            Bucket.remove !bucket b;
             !clusters.(a) <- None;
             !clusters.(b) <- None;
             let merged =
@@ -93,6 +110,6 @@ let generate ?(check = fun () -> ()) positions =
         candidates
     done;
     let result = ref None in
-    Bucket.iter bucket (fun id _ -> result := Some (get id).topo);
+    Bucket.iter !bucket (fun id _ -> result := Some (get id).topo);
     match !result with Some t -> t | None -> assert false
   end

@@ -81,7 +81,11 @@ type response =
   | Completed of { op : string; body : Json.t }
       (** the op-specific payload — e.g. a [run] body carries
           [result.{skew_ps,clr_ps,t_max_ps,buffers,eval_runs,seconds}]
-          and [cache.{local_hits,local_misses,store_hits,store_misses}] *)
+          and [cache.{local_hits,local_misses,store_hits,store_misses,
+          memo_hit}] (an [eval] body the same without [buffers] and
+          [eval_runs]). [memo_hit] 1 marks an answer from the daemon's
+          content cache: the stored result fields, [eval_runs] 0, its own
+          [seconds] and zero [local_*]/[store_*] counts *)
   | Busy of { retry_after_s : float }
       (** bounded queue full — retry after the hinted delay *)
   | Failed of { code : string; detail : string }

@@ -9,22 +9,39 @@
 module Ev = Analysis.Evaluator
 module Json = Suite.Report.Json
 
-(* Bounded LRU of completed responses keyed by the client's idempotency
-   key. A retry of a key the daemon already answered is served from here
-   — zero recomputation — which is what makes blind client retries after
-   a lost connection safe. Only [Completed] responses are remembered:
-   caching a transient failure would make every retry of that key fail
-   forever. Mutex-protected (lookups come from connection systhreads and
-   worker domains); eviction is an O(cap) scan for the stalest
-   generation, fine at the default cap. *)
-module Idem = struct
+(* Bounded LRU of completed responses under two kinds of key, sharing
+   one capacity and one eviction policy.
+
+   [Client k] is the client's idempotency key. A retry of a key the
+   daemon already answered is served from here verbatim — zero
+   recomputation — which is what makes blind client retries after a lost
+   connection safe.
+
+   [Content d] is the digest of the op and the loaded instance (see
+   {!content_key}). The flow is deterministic for one instance under the
+   daemon's fixed configuration, so a repeat of the same work is answered
+   from the stored result at lookup cost. An entry is admitted only on
+   the digest's second clean completion: [seen] remembers first
+   completions (bounded, oldest forgotten first), so the first repeat is
+   still answered by the stage store and one-off traffic never churns
+   the cache.
+
+   Only [Completed] responses are remembered: caching a transient failure
+   would make every retry of that key fail forever. Mutex-protected
+   (lookups come from connection systhreads and worker domains); eviction
+   is an O(cap) scan for the stalest generation, fine at the default
+   cap. *)
+module Memo = struct
+  type key = Client of string | Content of Digest.t
   type entry = { resp : Protocol.response; mutable gen : int }
 
   type cache = {
     lock : Mutex.t;
-    tbl : (string, entry) Hashtbl.t;
+    tbl : (key, entry) Hashtbl.t;
     cap : int;
     mutable tick : int;
+    seen : (Digest.t, unit) Hashtbl.t;
+    seen_order : Digest.t Queue.t;
   }
 
   let create cap =
@@ -33,25 +50,26 @@ module Idem = struct
       tbl = Hashtbl.create 64;
       cap = max 1 cap;
       tick = 0;
+      seen = Hashtbl.create 64;
+      seen_order = Queue.create ();
     }
 
-  let find c key =
+  let locked c f =
     Mutex.lock c.lock;
-    let r =
-      match Hashtbl.find_opt c.tbl key with
-      | Some e ->
-        c.tick <- c.tick + 1;
-        e.gen <- c.tick;
-        Some e.resp
-      | None -> None
-    in
-    Mutex.unlock c.lock;
-    r
+    Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) f
 
-  let add c key resp =
-    Mutex.lock c.lock;
-    (* First writer wins: concurrent same-key requests may both compute,
-       but retries see one stable answer. *)
+  let find c key =
+    locked c (fun () ->
+        match Hashtbl.find_opt c.tbl key with
+        | Some e ->
+          c.tick <- c.tick + 1;
+          e.gen <- c.tick;
+          Some e.resp
+        | None -> None)
+
+  (* First writer wins: concurrent same-key requests may both compute,
+     but retries see one stable answer. Caller holds the lock. *)
+  let insert c key resp =
     if not (Hashtbl.mem c.tbl key) then begin
       if Hashtbl.length c.tbl >= c.cap then begin
         let victim =
@@ -68,27 +86,43 @@ module Idem = struct
       end;
       c.tick <- c.tick + 1;
       Hashtbl.add c.tbl key { resp; gen = c.tick }
-    end;
-    Mutex.unlock c.lock
+    end
 
-  let length c =
-    Mutex.lock c.lock;
-    let n = Hashtbl.length c.tbl in
-    Mutex.unlock c.lock;
-    n
+  let add c key resp = locked c (fun () -> insert c key resp)
+
+  (* A clean completion of content [d]: admitted if [d] completed
+     before, otherwise remembered as seen once. *)
+  let completed c d resp =
+    locked c (fun () ->
+        if Hashtbl.mem c.seen d then insert c (Content d) resp
+        else begin
+          if Hashtbl.length c.seen >= c.cap then
+            Hashtbl.remove c.seen (Queue.pop c.seen_order);
+          Hashtbl.replace c.seen d ();
+          Queue.push d c.seen_order
+        end)
+
+  (* Entries of each kind: (client, content). *)
+  let lengths c =
+    locked c (fun () ->
+        Hashtbl.fold
+          (fun k _ (cl, co) ->
+            match k with Client _ -> (cl + 1, co) | Content _ -> (cl, co + 1))
+          c.tbl (0, 0))
 end
 
 type t = {
   config : Core.Config.t;
   store : Ev.Store.t;
   checkpoints : string option;
-  idem : Idem.cache;
+  memo : Memo.cache;
   started : float;  (* Monoclock origin of uptime *)
   served : int Atomic.t;
   busy_rejected : int Atomic.t;
   deadline_expired : int Atomic.t;
   crashed : int Atomic.t;
   idempotent_hits : int Atomic.t;
+  memo_hits : int Atomic.t;
   cum_local_hits : int Atomic.t;
   cum_local_misses : int Atomic.t;
   cum_store_hits : int Atomic.t;
@@ -103,13 +137,14 @@ let create ?(config = Core.Config.default) ?checkpoints
     config;
     store = Ev.Store.create ();
     checkpoints;
-    idem = Idem.create idem_cap;
+    memo = Memo.create idem_cap;
     started = Core.Monoclock.now ();
     served = Atomic.make 0;
     busy_rejected = Atomic.make 0;
     deadline_expired = Atomic.make 0;
     crashed = Atomic.make 0;
     idempotent_hits = Atomic.make 0;
+    memo_hits = Atomic.make 0;
     cum_local_hits = Atomic.make 0;
     cum_local_misses = Atomic.make 0;
     cum_store_hits = Atomic.make 0;
@@ -123,6 +158,7 @@ let idempotent_hits t = Atomic.get t.idempotent_hits
 
 let stats_body t ~queue_depth ~max_queue ~workers ~pool_failed
     ?(extra = []) () =
+  let client_entries, content_entries = Memo.lengths t.memo in
   Json.Obj
     ([
       ("uptime_s", Json.Num (uptime t));
@@ -137,7 +173,9 @@ let stats_body t ~queue_depth ~max_queue ~workers ~pool_failed
       ("pool_failed_jobs", Json.Num (float_of_int pool_failed));
       ("idempotent_hits",
        Json.Num (float_of_int (Atomic.get t.idempotent_hits)));
-      ("idempotent_entries", Json.Num (float_of_int (Idem.length t.idem)));
+      ("idempotent_entries", Json.Num (float_of_int client_entries));
+      ("memo_hits", Json.Num (float_of_int (Atomic.get t.memo_hits)));
+      ("memo_entries", Json.Num (float_of_int content_entries));
       ("cache",
        Json.Obj
          [
@@ -160,13 +198,15 @@ let stats_body t ~queue_depth ~max_queue ~workers ~pool_failed
 (* Request execution (runs on a worker domain)                         *)
 (* ------------------------------------------------------------------ *)
 
-let cache_json ~local_hits ~local_misses ~store_hits ~store_misses =
+let cache_json ?(memo_hit = false) ~local_hits ~local_misses ~store_hits
+    ~store_misses () =
   Json.Obj
     [
       ("local_hits", Json.Num (float_of_int local_hits));
       ("local_misses", Json.Num (float_of_int local_misses));
       ("store_hits", Json.Num (float_of_int store_hits));
       ("store_misses", Json.Num (float_of_int store_misses));
+      ("memo_hit", Json.Num (if memo_hit then 1. else 0.));
     ]
 
 let deadline_failed t =
@@ -196,42 +236,42 @@ let sanitize_spec spec =
 let checkpoint_dir t spec =
   Option.map (fun d -> Filename.concat d (sanitize_spec spec)) t.checkpoints
 
-let run_request t ~deadline spec =
-  match Suite.Runner.load_bench spec with
-  | exception Failure detail -> Protocol.Failed { code = "bad_request"; detail }
-  | b -> (
-    let handle = Ev.Store.handle t.store in
-    let config =
-      { t.config with Core.Config.deadline; store = Some handle }
-    in
-    let t0 = Core.Monoclock.now () in
-    (* Per-request local cache counters: each trace entry carries the
-       per-step delta, so the sum over the streamed entries is the
-       request's session total. *)
-    let local_hits = ref 0 and local_misses = ref 0 in
-    let on_step (e : Core.Flow.trace_entry) =
-      local_hits := !local_hits + e.Core.Flow.cache_hits;
-      local_misses := !local_misses + e.Core.Flow.cache_misses
-    in
-    match
-      Core.Flow.run_regional ~config ~on_step
-        ?checkpoint_dir:(checkpoint_dir t spec)
-        ~tech:b.Suite.Format_io.tech ~source:b.Suite.Format_io.source
-        ~obstacles:b.Suite.Format_io.obstacles b.Suite.Format_io.sinks
-    with
-    | exception Core.Ivc.Deadline_exceeded -> deadline_failed t
-    | exception e -> crash_failed t e (Printexc.get_raw_backtrace ())
-    | rr ->
-      let r = rr.Core.Flow.r_flow in
-      let final = r.Core.Flow.final in
-      let store_hits = Ev.Store.hits handle in
-      let store_misses = Ev.Store.misses handle in
-      Atomic.incr t.served;
-      ignore (Atomic.fetch_and_add t.cum_local_hits !local_hits);
-      ignore (Atomic.fetch_and_add t.cum_local_misses !local_misses);
-      ignore (Atomic.fetch_and_add t.cum_store_hits store_hits);
-      ignore (Atomic.fetch_and_add t.cum_store_misses store_misses);
-      Protocol.Completed
+(* A [Run] of the loaded instance [b], and whether its flow recorded no
+   incident: only such a clean result may enter the content cache (a
+   degraded retry's relaxed numerics are not what a repeat computes). *)
+let run_request t ~deadline spec (b : Suite.Format_io.t) =
+  let handle = Ev.Store.handle t.store in
+  let config = { t.config with Core.Config.deadline; store = Some handle } in
+  let t0 = Core.Monoclock.now () in
+  (* Per-request local cache counters: each trace entry carries the
+     per-step delta, so the sum over the streamed entries is the
+     request's session total. *)
+  let local_hits = ref 0 and local_misses = ref 0 in
+  let on_step (e : Core.Flow.trace_entry) =
+    local_hits := !local_hits + e.Core.Flow.cache_hits;
+    local_misses := !local_misses + e.Core.Flow.cache_misses
+  in
+  let incidents = ref 0 in
+  let on_incident _ = incr incidents in
+  match
+    Core.Flow.run_regional ~config ~on_step ~on_incident
+      ?checkpoint_dir:(checkpoint_dir t spec)
+      ~tech:b.Suite.Format_io.tech ~source:b.Suite.Format_io.source
+      ~obstacles:b.Suite.Format_io.obstacles b.Suite.Format_io.sinks
+  with
+  | exception Core.Ivc.Deadline_exceeded -> (deadline_failed t, false)
+  | exception e -> (crash_failed t e (Printexc.get_raw_backtrace ()), false)
+  | rr ->
+    let r = rr.Core.Flow.r_flow in
+    let final = r.Core.Flow.final in
+    let store_hits = Ev.Store.hits handle in
+    let store_misses = Ev.Store.misses handle in
+    Atomic.incr t.served;
+    ignore (Atomic.fetch_and_add t.cum_local_hits !local_hits);
+    ignore (Atomic.fetch_and_add t.cum_local_misses !local_misses);
+    ignore (Atomic.fetch_and_add t.cum_store_hits store_hits);
+    ignore (Atomic.fetch_and_add t.cum_store_misses store_misses);
+    ( Protocol.Completed
         {
           op = "run";
           body =
@@ -254,26 +294,26 @@ let run_request t ~deadline spec =
                    ]);
                 ("cache",
                  cache_json ~local_hits:!local_hits
-                   ~local_misses:!local_misses ~store_hits ~store_misses);
+                   ~local_misses:!local_misses ~store_hits ~store_misses ());
               ];
-        })
+        },
+      !incidents = 0 )
 
-let eval_request t ~deadline spec =
-  match Suite.Runner.load_bench spec with
-  | exception Failure detail -> Protocol.Failed { code = "bad_request"; detail }
-  | b -> (
-    let config = { t.config with Core.Config.deadline } in
-    match Suite.Baseline.run ~config b with
-    | exception Core.Ivc.Deadline_exceeded -> deadline_failed t
-    | exception Buffering.Fast_vg.Infeasible detail ->
-      (* No buffering meets the slew limit: a property of the spec, not
-         a worker failure. *)
-      Protocol.Failed { code = "infeasible"; detail }
-    | exception e -> crash_failed t e (Printexc.get_raw_backtrace ())
-    | r ->
-      Atomic.incr t.served;
-      let eval = r.Suite.Baseline.eval in
-      Protocol.Completed
+(* An [Eval] of the loaded instance [b]; the baseline records no
+   incidents, so every completion is clean. *)
+let eval_request t ~deadline spec (b : Suite.Format_io.t) =
+  let config = { t.config with Core.Config.deadline } in
+  match Suite.Baseline.run ~config b with
+  | exception Core.Ivc.Deadline_exceeded -> (deadline_failed t, false)
+  | exception Buffering.Fast_vg.Infeasible detail ->
+    (* No buffering meets the slew limit: a property of the spec, not
+       a worker failure. *)
+    (Protocol.Failed { code = "infeasible"; detail }, false)
+  | exception e -> (crash_failed t e (Printexc.get_raw_backtrace ()), false)
+  | r ->
+    Atomic.incr t.served;
+    let eval = r.Suite.Baseline.eval in
+    ( Protocol.Completed
         {
           op = "eval";
           body =
@@ -288,8 +328,72 @@ let eval_request t ~deadline spec =
                      ("t_max_ps", Json.Num eval.Ev.t_max);
                      ("seconds", Json.Num r.Suite.Baseline.seconds);
                    ]);
+                (* The baseline consults neither the session caches nor
+                   the store. *)
+                ("cache",
+                 cache_json ~local_hits:0 ~local_misses:0 ~store_hits:0
+                   ~store_misses:0 ());
               ];
-        })
+        },
+      true )
+
+(* The content key of a [Run]/[Eval]: the MD5 of the op and an exact
+   serialisation of the loaded instance — never the spec string, so an
+   edited [.cts] file misses. The daemon's configuration is fixed per
+   session, so it needs no place in the key. *)
+let content_key op (b : Suite.Format_io.t) =
+  Digest.string (Marshal.to_string (op, b) [ Marshal.No_sharing ])
+
+(* A content-cache hit: the stored result fields under the request's own
+   spec and telemetry — no evaluation ran, no cache was consulted, and
+   [seconds] is this request's own lookup time. *)
+let memo_reply t ~t0 spec = function
+  | Protocol.Completed { op; body } ->
+    Atomic.incr t.served;
+    Atomic.incr t.memo_hits;
+    let result =
+      match Json.member "result" body with
+      | Some (Json.Obj fields) ->
+        List.map
+          (fun (k, v) ->
+            match k with
+            | "eval_runs" -> (k, Json.Num 0.)
+            | "seconds" -> (k, Json.Num (Core.Monoclock.now () -. t0))
+            | _ -> (k, v))
+          fields
+      | _ -> []
+    in
+    Protocol.Completed
+      {
+        op;
+        body =
+          Json.Obj
+            [
+              ("spec", Json.Str spec);
+              ("result", Json.Obj result);
+              ("cache",
+               cache_json ~memo_hit:true ~local_hits:0 ~local_misses:0
+                 ~store_hits:0 ~store_misses:0 ());
+            ];
+      }
+  | resp -> resp
+
+(* Load the spec once, answer from the content cache when the same work
+   already completed twice, else compute — and let a clean completion
+   count towards admission. *)
+let memoized t ~t0 ~op spec compute =
+  match Suite.Runner.load_bench spec with
+  | exception Failure detail -> Protocol.Failed { code = "bad_request"; detail }
+  | b -> (
+    let key = content_key op b in
+    match Memo.find t.memo (Memo.Content key) with
+    | Some resp -> memo_reply t ~t0 spec resp
+    | None ->
+      let resp, clean = compute spec b in
+      (match resp with
+      | Protocol.Completed _ when clean -> Memo.completed t.memo key resp
+      | _ -> ());
+      resp)
 
 let sleep_request t ~deadline seconds =
   let finish = Core.Monoclock.now () +. Float.max 0. seconds in
@@ -318,19 +422,22 @@ let sleep_request t ~deadline seconds =
 (* Budget checked once more at execution start: a request can spend its
    whole budget waiting in the queue. *)
 let execute_uncached t ~deadline request =
+  let t0 = Core.Monoclock.now () in
   match deadline with
-  | Some d when Core.Monoclock.now () > d -> deadline_failed t
+  | Some d when t0 > d -> deadline_failed t
   | _ -> (
     match request with
-    | Protocol.Run { spec; _ } -> run_request t ~deadline spec
-    | Protocol.Eval { spec; _ } -> eval_request t ~deadline spec
+    | Protocol.Run { spec; _ } ->
+      memoized t ~t0 ~op:"run" spec (run_request t ~deadline)
+    | Protocol.Eval { spec; _ } ->
+      memoized t ~t0 ~op:"eval" spec (eval_request t ~deadline)
     | Protocol.Sleep { seconds; _ } -> sleep_request t ~deadline seconds
     | Protocol.Stats | Protocol.Ping | Protocol.Shutdown ->
       (* Inline ops never reach the queue; see Server. *)
       Protocol.Failed
         { code = "bad_request"; detail = "op is answered inline, not queued" })
 
-(* The idempotency cache is consulted before the deadline: a retry whose
+(* The client key is consulted before the deadline: a retry whose
    answer is already computed deserves it even on a spent budget —
    serving it costs nothing and recomputing is exactly what the key
    exists to prevent. Only [Completed] responses are remembered. *)
@@ -338,13 +445,13 @@ let execute t ~deadline request =
   match Protocol.request_key request with
   | None -> execute_uncached t ~deadline request
   | Some key -> (
-    match Idem.find t.idem key with
+    match Memo.find t.memo (Memo.Client key) with
     | Some resp ->
       Atomic.incr t.idempotent_hits;
       resp
     | None ->
       let resp = execute_uncached t ~deadline request in
       (match resp with
-      | Protocol.Completed _ -> Idem.add t.idem key resp
+      | Protocol.Completed _ -> Memo.add t.memo (Memo.Client key) resp
       | Protocol.Busy _ | Protocol.Failed _ -> ());
       resp)

@@ -19,7 +19,8 @@ type t
     write verified per-stage checkpoints under
     [<checkpoints>/<sanitised spec>/] (an unwritable checkpoint is a
     recorded incident, never a failed request). [idem_cap] (default 256)
-    bounds the idempotency cache. *)
+    bounds the response cache: its client-key and content-key entries
+    together, and separately the set of instances completed once. *)
 val create :
   ?config:Core.Config.t -> ?checkpoints:string -> ?idem_cap:int -> unit -> t
 
@@ -37,7 +38,9 @@ val uptime : t -> float
 val idempotent_hits : t -> int
 
 (** The ["stats"] response body: uptime, queue/pool shape, request
-    outcome counters, idempotency and cumulative cache telemetry.
+    outcome counters, response-cache counters ([idempotent_hits],
+    [idempotent_entries], [memo_hits], [memo_entries]) and cumulative
+    cache telemetry.
     [extra] fields (the server's connection/chaos counters) are appended
     verbatim. *)
 val stats_body :
@@ -51,9 +54,19 @@ val stats_body :
     {!Protocol.Failed} ([deadline] / [bad_request] / [crashed]).
 
     A [Run]/[Eval] request carrying a [request_key] is first looked up
-    in the bounded idempotency cache — before the deadline check, so a
-    retry of an already-answered key succeeds even on a spent budget;
-    its [Completed] response is remembered afterwards.
+    in the bounded response cache under that client key — before the
+    deadline check, so a retry of an already-answered key succeeds even
+    on a spent budget; its [Completed] response is remembered afterwards
+    and served verbatim.
+
+    Every [Run]/[Eval] then loads its spec once and looks up its content
+    key: the MD5 of the op and the loaded instance (never the spec
+    string, so an edited [.cts] file misses). A content entry is admitted
+    when the same content completes a second time with no flow incident;
+    from then on a repeat is answered from it: the stored result fields,
+    [eval_runs] 0, its own [seconds], zero [local_*]/[store_*] counts and
+    [cache.memo_hit] 1. Hits count in [served] and [memo_hits]. A hit
+    writes no checkpoint.
     [Stats]/[Ping]/[Shutdown] are answered inline by the server and
     rejected here. *)
 val execute :

@@ -56,6 +56,26 @@ let test_topology_check () =
   | _ -> Alcotest.fail "a raising check must abort generation"
   | exception Exit -> check_int "aborted on the 3rd call" 3 !calls
 
+(* The grid is rebuilt as rounds shrink the live cluster count; the
+   nearest-neighbour search is exact, so the topology must not move.
+   Digests of the marshalled topologies, recorded before the regrid. *)
+let test_topology_regrid_identical () =
+  List.iter
+    (fun (spec, expected) ->
+      let b = Suite.Runner.load_bench spec in
+      let positions =
+        Array.map (fun s -> s.Dme.Zst.pos) b.Suite.Format_io.sinks
+      in
+      let topo = Topology.generate positions in
+      Alcotest.(check string)
+        (spec ^ " topology digest") expected
+        (Digest.to_hex
+           (Digest.string (Marshal.to_string topo [ Marshal.No_sharing ]))))
+    [
+      ("ti:8000", "e2925ee7e1f3c780cd976a6947ca7825");
+      ("ti:20000", "bac43ac72a64a19d209c3ab7e429a132");
+    ]
+
 let test_topology_single () =
   check_bool "single sink" true (Topology.generate [| Point.make 5 5 |] = Topology.Leaf 0)
 
@@ -259,7 +279,9 @@ let () =
        [ Alcotest.test_case "leaves" `Quick test_topology_leaves;
          Alcotest.test_case "balance" `Quick test_topology_balance;
          Alcotest.test_case "single" `Quick test_topology_single;
-         Alcotest.test_case "check interrupts" `Quick test_topology_check ]);
+         Alcotest.test_case "check interrupts" `Quick test_topology_check;
+         Alcotest.test_case "regrid keeps ti:8000/20000" `Slow
+           test_topology_regrid_identical ]);
       ("merge",
        [ Alcotest.test_case "symmetric" `Quick test_merge_symmetric;
          Alcotest.test_case "asymmetric caps" `Quick test_merge_asymmetric_caps;

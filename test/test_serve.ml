@@ -94,10 +94,12 @@ let test_framing () =
 
 (* ---------- daemon fixture ---------- *)
 
-let with_server ?config ?max_queue ?workers f =
+let with_server ?config ?max_queue ?workers ?idem_cap f =
   let dir = Filename.temp_dir "contango_serve" "" in
   let path = Filename.concat dir "d.sock" in
-  let server = Server.create ?config ?max_queue ?workers (Unix.ADDR_UNIX path) in
+  let server =
+    Server.create ?config ?max_queue ?workers ?idem_cap (Unix.ADDR_UNIX path)
+  in
   let addr = Server.sockaddr server in
   let thread = Thread.create Server.serve server in
   Fun.protect
@@ -190,6 +192,171 @@ let test_cache_reuse () =
         true
         (lookups > 0 && hits > 0))
 
+let stats_field addr name =
+  match Client.oneshot addr Protocol.Stats with
+  | Ok (Protocol.Completed { body; _ }) -> (
+    match Json.to_float (Json.member name body) with
+    | Some v -> int_of_float v
+    | None -> Alcotest.failf "stats lacks %s" name)
+  | Ok _ | Error _ -> Alcotest.fail "stats request failed"
+
+let eval_ok addr spec =
+  match
+    Client.oneshot addr
+      (Protocol.Eval { spec; timeout_s = Some 120.; request_key = None })
+  with
+  | Ok (Protocol.Completed { body; _ }) -> body
+  | Ok (Protocol.Busy _) -> Alcotest.fail "unexpected Busy"
+  | Ok (Protocol.Failed { code; detail }) ->
+    Alcotest.failf "request failed (%s): %s" code detail
+  | Error e -> Alcotest.fail e
+
+let result_field body name =
+  Option.bind (Json.member "result" body) (Json.member name)
+
+let is_memo_hit body = cache_field body "memo_hit" = 1
+
+(* ---------- response cache ---------- *)
+
+(* A fixture file under test/, from the test directory (dune runtest)
+   or the repository root (dune exec). *)
+let fixture name =
+  if Sys.file_exists name then name else Filename.concat "test" name
+
+(* The 1st Run computes, the 2nd is served by the stage store, the 3rd
+   comes from the content cache: no evaluation, no store traffic, and
+   the result fields as they went over the wire the first times. Eval
+   repeats the same admission. Every reply counts in [served]. *)
+let test_memo_third_run () =
+  with_server (fun addr ->
+      let first = run_ok addr "ti:40" in
+      let second = run_ok addr "ti:40" in
+      let third = run_ok addr "ti:40" in
+      check_bool "1st computes" false (is_memo_hit first);
+      check_bool "1st misses the store" true
+        (cache_field first "store_misses" > 0);
+      check_bool "2nd computes" false (is_memo_hit second);
+      check_bool "2nd hits the store" true (cache_field second "store_hits" > 0);
+      check_int "2nd never misses" 0 (cache_field second "store_misses");
+      check_bool "3rd is a cache hit" true (is_memo_hit third);
+      check_bool "3rd ran no evaluation" true
+        (Json.to_float (result_field third "eval_runs") = Some 0.);
+      List.iter
+        (fun k -> check_int ("3rd " ^ k) 0 (cache_field third k))
+        [ "local_hits"; "local_misses"; "store_hits"; "store_misses" ];
+      List.iter
+        (fun k ->
+          check_string ("3rd " ^ k ^ " on the wire")
+            (Json.to_compact_string (Option.get (result_field first k)))
+            (Json.to_compact_string (Option.get (result_field third k))))
+        [ "skew_ps"; "clr_ps"; "t_max_ps"; "buffers" ];
+      let evals = List.init 3 (fun _ -> eval_ok addr "grid:4") in
+      check_bool "eval: only the 3rd is a hit" true
+        (List.map is_memo_hit evals = [ false; false; true ]);
+      check_bool "eval hit keeps the skew" true
+        (result_field (List.nth evals 2) "skew_ps"
+        = result_field (List.hd evals) "skew_ps");
+      check_int "memo_hits" 2 (stats_field addr "memo_hits");
+      check_int "memo_entries" 2 (stats_field addr "memo_entries");
+      check_int "hits count in served" 6 (stats_field addr "served"))
+
+(* The content key is the loaded instance, not the spec string: a [.cts]
+   path rewritten with one sink moved is recomputed. *)
+let test_memo_edited_cts () =
+  let dir = Filename.temp_dir "contango_memo" "" in
+  let path = Filename.concat dir "edited.cts" in
+  let b = Suite.Runner.load_bench "ti:30" in
+  Suite.Format_io.write_file path b;
+  with_server (fun addr ->
+      let replies = List.init 3 (fun _ -> run_ok addr path) in
+      check_bool "unedited file: 3rd run is a hit" true
+        (List.map is_memo_hit replies = [ false; false; true ]);
+      let sinks = Array.copy b.Suite.Format_io.sinks in
+      let s0 = sinks.(0) in
+      sinks.(0) <-
+        { s0 with
+          Dme.Zst.pos =
+            Geometry.Point.make (s0.Dme.Zst.pos.Geometry.Point.x + 1000)
+              s0.Dme.Zst.pos.Geometry.Point.y };
+      Suite.Format_io.write_file path { b with Suite.Format_io.sinks };
+      let edited = run_ok addr path in
+      check_bool "edited file is recomputed" false (is_memo_hit edited);
+      check_bool "edited file ran evaluations" true
+        (Json.to_float (result_field edited "eval_runs") > Some 0.);
+      check_int "one hit in all" 1 (stats_field addr "memo_hits"))
+
+(* A run whose flow logged an incident (here an injected numerical
+   failure and its degraded retry) never enters the content cache. *)
+let test_memo_skips_incidents () =
+  let config =
+    { Core.Config.default with Core.Config.inject_numerical_failures = 1 }
+  in
+  with_server ~config (fun addr ->
+      for i = 1 to 3 do
+        check_bool
+          (Printf.sprintf "run %d is computed" i)
+          false
+          (is_memo_hit (run_ok addr "ti:20"))
+      done;
+      check_int "no memo hits" 0 (stats_field addr "memo_hits");
+      check_int "no memo entries" 0 (stats_field addr "memo_entries"))
+
+(* Failed replies are never cached: an infeasible Eval and an expired
+   Run fail the same way on every repeat. *)
+let test_memo_skips_failures () =
+  with_server (fun addr ->
+      for _ = 1 to 3 do
+        (match
+           Client.oneshot addr
+             (Protocol.Eval
+                { spec = fixture "infeasible_sink.cts"; timeout_s = None;
+                  request_key = None })
+         with
+        | Ok (Protocol.Failed { code; _ }) ->
+          check_string "code" "infeasible" code
+        | Ok _ -> Alcotest.fail "expected an infeasible failure"
+        | Error e -> Alcotest.fail e);
+        match
+          Client.oneshot addr
+            (Protocol.Run
+               { spec = "ti:100"; timeout_s = Some 0.002; request_key = None })
+        with
+        | Ok (Protocol.Failed { code; _ }) -> check_string "code" "deadline" code
+        | Ok _ -> Alcotest.fail "expected a deadline failure"
+        | Error e -> Alcotest.fail e
+      done;
+      check_int "no memo hits" 0 (stats_field addr "memo_hits");
+      check_int "no memo entries" 0 (stats_field addr "memo_entries"))
+
+(* Client-key and content entries share [idem_cap]: across many distinct
+   specs, each admitted, the cache never holds more than the cap, and
+   the most recent admission survives. *)
+let test_memo_cap () =
+  let cap = 3 in
+  with_server ~idem_cap:cap (fun addr ->
+      let entries () =
+        stats_field addr "memo_entries" + stats_field addr "idempotent_entries"
+      in
+      for n = 20 to 27 do
+        let spec = Printf.sprintf "ti:%d" n in
+        ignore (run_ok addr spec);
+        (match
+           Client.oneshot addr
+             (Protocol.Run
+                { spec; timeout_s = Some 120.;
+                  request_key = Some (spec ^ "-key") })
+         with
+        | Ok (Protocol.Completed _) -> ()
+        | Ok _ | Error _ -> Alcotest.fail "keyed run failed");
+        check_bool
+          (Printf.sprintf "entries within the cap after %s" spec)
+          true
+          (entries () <= cap)
+      done;
+      check_int "cache is full" cap (entries ());
+      check_bool "latest admission is a hit" true
+        (is_memo_hit (run_ok addr "ti:27")))
+
 let test_deadline () =
   with_server (fun addr ->
       (* Budget expires mid-hold: the cooperative sleep notices within a
@@ -211,14 +378,6 @@ let test_deadline () =
       | Ok _ -> Alcotest.fail "expected a deadline failure"
       | Error e -> Alcotest.fail e)
 
-let stats_field addr name =
-  match Client.oneshot addr Protocol.Stats with
-  | Ok (Protocol.Completed { body; _ }) -> (
-    match Json.to_float (Json.member name body) with
-    | Some v -> int_of_float v
-    | None -> Alcotest.failf "stats lacks %s" name)
-  | Ok _ | Error _ -> Alcotest.fail "stats request failed"
-
 (* An Eval honours its budget while it runs, not only at dequeue: the
    baseline flow checks the deadline between its insertion tries and
    evaluations. ti:5000 takes about a second; a 0.1 s budget passes the
@@ -237,11 +396,6 @@ let test_eval_deadline () =
       check_int "deadline_expired counted" (expired0 + 1)
         (stats_field addr "deadline_expired");
       check_int "no crashed requests" 0 (stats_field addr "crashed"))
-
-(* A fixture file under test/, from the test directory (dune runtest)
-   or the repository root (dune exec). *)
-let fixture name =
-  if Sys.file_exists name then name else Filename.concat "test" name
 
 (* An Eval whose spec no buffering can make slew-legal (one sink heavier
    than the insertion ceiling) is the spec's fault: a structured
@@ -606,6 +760,15 @@ let () =
          Alcotest.test_case "bad spec" `Quick test_bad_spec_request;
          Alcotest.test_case "backpressure at max-queue" `Slow
            test_backpressure ]);
+      ("response cache",
+       [ Alcotest.test_case "3rd run is a hit" `Quick test_memo_third_run;
+         Alcotest.test_case "edited .cts recomputed" `Quick
+           test_memo_edited_cts;
+         Alcotest.test_case "incidents never cached" `Quick
+           test_memo_skips_incidents;
+         Alcotest.test_case "failures never cached" `Quick
+           test_memo_skips_failures;
+         Alcotest.test_case "entries within the cap" `Slow test_memo_cap ]);
       ("lifecycle",
        [ Alcotest.test_case "shutdown with idle connection" `Quick
            test_shutdown_with_idle_conn;
