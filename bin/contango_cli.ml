@@ -98,7 +98,14 @@ let config_of ?second_pass_skew ?speculation ?probe_count ?size_probe_min_len
   | Some n -> { c with Core.Config.rank_top = n }
   | None -> c
 
-(* Optimization-loop knobs shared by the run and suite commands. *)
+(* Evaluation knobs shared by the run, suite, pareto, eval and serve
+   commands. *)
+let engine_arg =
+  Arg.(value & opt (some engine_conv) None
+       & info [ "engine" ]
+           ~doc:"Evaluation engine: spice (boxed reference), flat \
+                 (streaming flat-arena kernel), arnoldi, elmore.")
+
 let seg_len_arg =
   Arg.(value & opt (some int) None
        & info [ "seg-len" ] ~docv:"NM"
@@ -214,10 +221,6 @@ let generate_cmd =
 (* run *)
 let run_cmd =
   let spec = Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH") in
-  let engine =
-    Arg.(value & opt (some engine_conv) None
-         & info [ "engine" ] ~doc:"Evaluation engine: spice (boxed reference), flat (streaming flat-arena kernel), arnoldi, elmore.")
-  in
   let svg = Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE") in
   let second_pass_skew =
     Arg.(value & opt (some float) None
@@ -330,7 +333,7 @@ let run_cmd =
     Option.iter (write_slack_svg r.Core.Flow.tree r.Core.Flow.final) svg
   in
   Cmd.v (Cmd.info "run" ~doc:"Run the full Contango flow on a benchmark.")
-    Term.(const run $ spec $ engine $ seg_len_arg $ second_pass_skew
+    Term.(const run $ spec $ engine_arg $ seg_len_arg $ second_pass_skew
           $ speculate_arg $ surrogate_arg $ rank_top_arg $ probe_count_arg
           $ size_probe_min_len_arg $ snake_probe_min_len_arg $ regions_arg
           $ regional_arg $ stitch_skew_arg $ checkpoints $ resume $ svg)
@@ -360,10 +363,6 @@ let suite_cmd =
          & info [ "jobs" ] ~docv:"N"
              ~doc:"Worker domains running instances in parallel (0 = \
                    sequential; default: one per spare core).")
-  in
-  let engine =
-    Arg.(value & opt (some engine_conv) None
-         & info [ "engine" ] ~doc:"Evaluation engine: spice (boxed reference), flat (streaming flat-arena kernel), arnoldi, elmore.")
   in
   let second_pass_skew =
     Arg.(value & opt (some float) None
@@ -453,7 +452,7 @@ let suite_cmd =
     (Cmd.info "suite"
        ~doc:"Run a benchmark suite with fault isolation, per-step JSONL \
              telemetry and optional golden-baseline regression gating.")
-    Term.(const run $ specs $ out_dir $ timeout $ jobs $ engine
+    Term.(const run $ specs $ out_dir $ timeout $ jobs $ engine_arg
           $ seg_len_arg $ second_pass_skew $ speculate_arg $ surrogate_arg
           $ rank_top_arg $ probe_count_arg $ size_probe_min_len_arg
           $ snake_probe_min_len_arg $ regions_arg $ regional_arg
@@ -480,10 +479,6 @@ let pareto_cmd =
              ~doc:"Worker domains running sweep points in parallel (0 = \
                    sequential — the maximum cache-reuse setting; default: \
                    one per spare core).")
-  in
-  let engine =
-    Arg.(value & opt (some engine_conv) None
-         & info [ "engine" ] ~doc:"Evaluation engine: spice (boxed reference), flat (streaming flat-arena kernel), arnoldi, elmore.")
   in
   let run spec out_dir timeout jobs engine seg_len speculation surrogate
       rank_top =
@@ -516,15 +511,12 @@ let pareto_cmd =
              ladder, wire widths, snaking, transient mode, speculation \
              width), share stage-result stores across compatible points, \
              and report the skew/CLR/cap/runtime Pareto front.")
-    Term.(const run $ spec $ out_dir $ timeout $ jobs $ engine $ seg_len_arg
-          $ speculate_arg $ surrogate_arg $ rank_top_arg)
+    Term.(const run $ spec $ out_dir $ timeout $ jobs $ engine_arg
+          $ seg_len_arg $ speculate_arg $ surrogate_arg $ rank_top_arg)
 
 (* eval (baseline) *)
 let eval_cmd =
   let spec = Arg.(required & pos 0 (some string) None & info [] ~docv:"BENCH") in
-  let engine =
-    Arg.(value & opt (some engine_conv) None & info [ "engine" ])
-  in
   let run spec engine =
     let b = load_bench spec in
     let config = config_of ~engine () in
@@ -534,7 +526,7 @@ let eval_cmd =
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Run and evaluate the greedy-CTS baseline flow.")
-    Term.(const run $ spec $ engine)
+    Term.(const run $ spec $ engine_arg)
 
 (* mc: Monte-Carlo variation analysis *)
 let mc_cmd =
@@ -700,10 +692,6 @@ let serve_cmd =
              ~doc:"Worker domains for request execution (0 = inline on \
                    connection threads; default: one per spare core).")
   in
-  let engine =
-    Arg.(value & opt (some engine_conv) None
-         & info [ "engine" ] ~doc:"Evaluation engine: spice (boxed reference), flat (streaming flat-arena kernel), arnoldi, elmore.")
-  in
   let conn_timeout =
     Arg.(value & opt (some float) None
          & info [ "conn-timeout" ] ~docv:"SECONDS"
@@ -764,7 +752,7 @@ let serve_cmd =
              connection lifecycle hardening and optional seeded fault \
              injection.")
     Term.(const run $ socket_arg $ port_arg $ max_queue $ workers
-          $ conn_timeout $ max_conns $ chaos $ checkpoints $ engine
+          $ conn_timeout $ max_conns $ chaos $ checkpoints $ engine_arg
           $ seg_len_arg $ speculate_arg $ regions_arg $ regional_arg
           $ stitch_skew_arg)
 

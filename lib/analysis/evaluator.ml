@@ -1074,21 +1074,4 @@ module Incremental = struct
       fast_refreshes = session.fast_refreshes;
       dirty_refreshes = session.dirty_refreshes; entries; factored_entries;
       store_hits; store_misses }
-
-  let invalidate session =
-    Array.iter
-      (fun j ->
-        Array.iter
-          (fun s ->
-            Hashtbl.reset s.cache;
-            s.hits <- 0;
-            s.misses <- 0)
-          j.lanes;
-        Transient.Fcache.clear j.fcache;
-        Transient.Flat.Fcache.clear j.ffcache)
-      session.jobs;
-    session.last <- None;
-    session.last_revision <- -1;
-    session.anchor_rev <- -1;
-    session.pending <- []
 end

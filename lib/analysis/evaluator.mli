@@ -263,8 +263,4 @@ module Incremental : sig
     session -> edits:edit_hint option -> new_revision:int -> unit
 
   val stats : session -> cache_stats
-
-  (** Drop all cached state (stage results, factorisations, the
-      whole-result memo). Only useful for benchmarks and tests. *)
-  val invalidate : session -> unit
 end

@@ -492,11 +492,6 @@ let counters () =
     total_saved = Atomic.get saved_ctr;
     total_truncations = Atomic.get trunc_ctr }
 
-let reset_counters () =
-  Atomic.set solves_ctr 0;
-  Atomic.set saved_ctr 0;
-  Atomic.set trunc_ctr 0
-
 (* ------------------------------------------------------------------ *)
 (* The march                                                           *)
 (* ------------------------------------------------------------------ *)

@@ -137,7 +137,6 @@ type counters = {
 }
 
 val counters : unit -> counters
-val reset_counters : unit -> unit
 
 (** Run the march, reporting each 10/50/90 % crossing of a watched node
     through [on_cross (watch_slot, threshold_index, time)]. [factored]

@@ -33,7 +33,6 @@ type t = {
   surrogate : bool;
   rank_top : int;
   store : Analysis.Evaluator.Store.handle option;
-  evaluator : Speculate.hooks option;
   spec : Speculate.t option;
   surrogate_state : Analysis.Surrogate.t option;
 }
@@ -79,7 +78,6 @@ let default =
     surrogate = false;
     rank_top = 0;
     store = None;
-    evaluator = None;
     spec = None;
     surrogate_state = None;
   }

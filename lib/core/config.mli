@@ -147,15 +147,16 @@ type t = {
           retries change the kernel's numerics, and replica sessions
           (speculation lanes, regional stitching) keep their own caches.
           [None] (the default) shares nothing *)
-  evaluator : Speculate.hooks option;
-      (** evaluation hooks used by {!Ivc.evaluate}; [None] falls back to
-          [Evaluator.evaluate ~engine ~seg_len]. Set by {!Flow} to the
-          incremental session's refresh/note pair — passes should not
-          set it themselves *)
   spec : Speculate.t option;
-      (** speculation context over the flow's main tree, set by {!Flow};
-          {!Ivc.speculate} uses it when the pass operates on that tree
-          and falls back to a serial context otherwise *)
+      (** speculation context over the flow's main tree, set by {!Flow}
+          — passes should not set it themselves. Its main-lane hooks
+          ({!Speculate.hooks}, the incremental session's refresh/note
+          pair) are the evaluation behind every {!Ivc.evaluate};
+          {!Ivc.speculate} uses the context itself when the pass
+          operates on its main tree and a serial context over the same
+          hooks otherwise. [None] (the default) evaluates from scratch
+          under [engine], [flat], [seg_len], [transient_step] and
+          [transient_mode] *)
   surrogate_state : Analysis.Surrogate.t option;
       (** live calibration state for [surrogate], created per run by
           {!Flow} (never shared across domains); [None] disables ranking

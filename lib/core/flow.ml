@@ -417,11 +417,6 @@ let deadline rc step attempt =
   incident rc step attempt "deadline exceeded" "deadline";
   raise Ivc.Deadline_exceeded
 
-let check_deadline rc (config : Config.t) step =
-  match config.Config.deadline with
-  | Some d when Monoclock.now () > d -> deadline rc step 0
-  | Some _ | None -> ()
-
 (* Persist a completed step when [dir] is set. Structural invariants
    were checked by the caller; the electrical gate refuses to persist a
    state whose headline numbers are not finite (a truncated march's
@@ -545,8 +540,10 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
     (* Degraded retries run without surrogate ranking: recovery should
        take the conservative, fully-evaluated path. *)
     { c with
-      Config.evaluator = Some (wrap_hooks (session_hooks s));
-      spec = None;
+      Config.spec =
+        Some
+          (Speculate.serial ~main:!tree
+             ~hooks:(wrap_hooks (session_hooks s)));
       surrogate_state = (if degraded = 0 then surrogate_state else None) }
   in
   let cfg = ref (configure ~degraded:0) in
@@ -559,9 +556,10 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
       baseline := Some ev;
       ev
   in
-  (* Speculation context over the flow's main tree: [width - 1] replica
+  (* Speculation context over the flow's main tree: [width] replica
      lanes, each with its own incremental session ([~parallel:false] —
-     the lanes themselves run on the domain pool). *)
+     the lanes themselves run on the domain pool). The main lane keeps
+     the primary session and sits out parallel batches. *)
   let install_spec () =
     let c = !cfg in
     let slot_hooks replica =
@@ -569,7 +567,7 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
     in
     let spec =
       Speculate.create ~width:(Config.speculation_width c) ~main:!tree
-        ~main_hooks:(Option.get c.Config.evaluator) ~slot_hooks ()
+        ~main_hooks:(Speculate.hooks (Option.get c.Config.spec)) ~slot_hooks
     in
     cfg := { c with Config.spec = Some spec }
   in
@@ -636,7 +634,6 @@ let run ?(config = Config.default) ?on_step ?on_incident ?checkpoint_dir
           { !cfg with
             Config.engine = Analysis.Evaluator.Elmore_model;
             max_rounds = 30;
-            evaluator = None;
             spec = None }
         in
         let pre_eval =
@@ -792,10 +789,9 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
     match polish_ckpt with
     | Some l ->
       let ev =
-        Evaluator.evaluate ~engine:config.Config.engine
-          ~flat:config.Config.flat ~seg_len:config.Config.seg_len
-          ~transient_step:config.Config.transient_step
-          ~transient_mode:config.Config.transient_mode l.Checkpoint.ck_tree
+        match Ivc.evaluate config l.Checkpoint.ck_tree with
+        | exception Ivc.Deadline_exceeded -> deadline rc Polish 0
+        | ev -> ev
       in
       replay rc l.Checkpoint.ck_metas;
       { r_flow =
@@ -929,119 +925,124 @@ let run_regional ?(config = Config.default) ?on_step ?on_incident
          initial tree: parity-preserving inverter-pair insertion. *)
       if config.Config.stage_balancing then
         ignore (Stage_balance.equalize stitched ~buf:top.chosen_buf);
+      (* STITCH and POLISH evaluate through one incremental session over
+         the stitched tree, installed as a serial context so every
+         evaluation and rollback goes through {!Ivc}. *)
       let stitch_session = session config stitched in
       attach rc stitch_session;
-      check_deadline rc config Stitch;
-      let stitched_ev = Evaluator.Incremental.refresh stitch_session in
+      let polish_cfg =
+        { config with
+          Config.regions = 1;
+          spec =
+            Some
+              (Speculate.serial ~main:stitched
+                 ~hooks:(session_hooks stitch_session)) }
+      in
+      let stitched_ev =
+        match Ivc.evaluate polish_cfg stitched with
+        | exception Ivc.Deadline_exceeded -> deadline rc Stitch 0
+        | ev -> ev
+      in
       record rc Stitch stitched_ev;
       (* Global polish: per round, measure every region's nominal latency
          window on the stitched tree, snake the tap feed of each lagging
          region towards the slowest one (damped), refresh through the
          dirty-set fast path and keep the edit only if the global skew
-         strictly improved without new violations. A rejected round halves
-         the damping — the linear snake model overshoots near
-         convergence. *)
+         strictly improved (by 1e-9 ps, not IVC's 1e-3 band) without new
+         violations. A rejected round halves the damping — the linear
+         snake model overshoots near convergence. *)
       let best = ref stitched_ev in
       let rounds = ref 0 and accepts = ref 0 in
-      let damping = ref config.Config.damping in
-      let continue_ = ref true in
-      while
-        !continue_ && !rounds < max_polish_rounds
-        && !best.Evaluator.skew > config.Config.stitch_skew_ps
-      do
-        check_deadline rc config Polish;
-        incr rounds;
-        let sens = Probes.sensitivities stitched in
-        let mid i =
-          let ids = region_sink_ids.(i) in
-          let lo = ref infinity and hi = ref neg_infinity in
-          List.iter
-            (fun (run : Evaluator.run) ->
-              Array.iter
-                (fun s ->
-                  let l = run.Evaluator.latency.(s) in
-                  if not (Float.is_nan l) then begin
-                    if l < !lo then lo := l;
-                    if l > !hi then hi := l
-                  end)
-                ids)
-            [ Evaluator.nominal_run !best Evaluator.Rise;
-              Evaluator.nominal_run !best Evaluator.Fall ];
-          (!lo +. !hi) /. 2.
-        in
-        let mids = Array.init regions mid in
-        let lead = Array.fold_left Float.max neg_infinity mids in
-        let unit = config.Config.snake_unit in
-        let deltas =
-          Array.mapi
-            (fun i m ->
-              let gap_ps = (lead -. m) *. !damping in
-              let per_nm = sens.Probes.snake_delay.(taps.(i)) in
-              if gap_ps <= 0. || per_nm <= 1e-12 then 0
-              else
-                let nm =
-                  min
-                    (int_of_float (gap_ps /. per_nm))
-                    config.Config.max_snake_per_round
-                in
-                nm / unit * unit)
-            mids
-        in
-        if Array.for_all (fun d -> d = 0) deltas then continue_ := false
-        else begin
-          let j = Tree.Journal.start stitched in
-          Array.iteri
-            (fun i d ->
-              if d > 0 then
-                Tree.set_snake stitched taps.(i)
-                  ((Tree.node stitched taps.(i)).Tree.snake + d))
-            deltas;
-          let touched = Tree.Journal.touched j in
-          let base_rev = Tree.Journal.base_revision j in
-          let post_rev = Tree.revision stitched in
-          let ev =
-            Evaluator.Incremental.refresh
-              ~edits:{ Evaluator.base_revision = base_rev; nodes = touched }
-              stitch_session
+      let polish () =
+        let damping = ref config.Config.damping in
+        let continue_ = ref true in
+        while
+          !continue_ && !rounds < max_polish_rounds
+          && !best.Evaluator.skew > config.Config.stitch_skew_ps
+        do
+          Ivc.check_deadline polish_cfg;
+          incr rounds;
+          let sens = Probes.sensitivities stitched in
+          let mid i =
+            let ids = region_sink_ids.(i) in
+            let lo = ref infinity and hi = ref neg_infinity in
+            List.iter
+              (fun (run : Evaluator.run) ->
+                Array.iter
+                  (fun s ->
+                    let l = run.Evaluator.latency.(s) in
+                    if not (Float.is_nan l) then begin
+                      if l < !lo then lo := l;
+                      if l > !hi then hi := l
+                    end)
+                  ids)
+              [ Evaluator.nominal_run !best Evaluator.Rise;
+                Evaluator.nominal_run !best Evaluator.Fall ];
+            (!lo +. !hi) /. 2.
           in
-          if
-            ev.Evaluator.skew < !best.Evaluator.skew -. 1e-9
-            && ev.Evaluator.slew_violations <= !best.Evaluator.slew_violations
-            && (ev.Evaluator.cap_ok || not !best.Evaluator.cap_ok)
-          then begin
-            Tree.Journal.commit j;
-            best := ev;
-            incr accepts
-          end
+          let mids = Array.init regions mid in
+          let lead = Array.fold_left Float.max neg_infinity mids in
+          let unit = config.Config.snake_unit in
+          let deltas =
+            Array.mapi
+              (fun i m ->
+                let gap_ps = (lead -. m) *. !damping in
+                let per_nm = sens.Probes.snake_delay.(taps.(i)) in
+                if gap_ps <= 0. || per_nm <= 1e-12 then 0
+                else
+                  let nm =
+                    min
+                      (int_of_float (gap_ps /. per_nm))
+                      config.Config.max_snake_per_round
+                  in
+                  nm / unit * unit)
+              mids
+          in
+          if Array.for_all (fun d -> d = 0) deltas then continue_ := false
           else begin
-            Tree.Journal.rollback j;
-            Evaluator.Incremental.note_edits stitch_session
-              ~edits:
-                (Some { Evaluator.base_revision = post_rev; nodes = touched })
-              ~new_revision:(Tree.revision stitched);
-            damping := !damping /. 2.;
-            if !damping < 0.05 then continue_ := false
+            let j = Tree.Journal.start stitched in
+            Array.iteri
+              (fun i d ->
+                if d > 0 then
+                  Tree.set_snake stitched taps.(i)
+                    ((Tree.node stitched taps.(i)).Tree.snake + d))
+              deltas;
+            let ev =
+              try Ivc.evaluate ~journal:j polish_cfg stitched
+              with e ->
+                Ivc.rollback polish_cfg stitched j;
+                raise e
+            in
+            if
+              ev.Evaluator.skew < !best.Evaluator.skew -. 1e-9
+              && ev.Evaluator.slew_violations
+                 <= !best.Evaluator.slew_violations
+              && (ev.Evaluator.cap_ok || not !best.Evaluator.cap_ok)
+            then begin
+              Tree.Journal.commit j;
+              best := ev;
+              incr accepts
+            end
+            else begin
+              Ivc.rollback polish_cfg stitched j;
+              damping := !damping /. 2.;
+              if !damping < 0.05 then continue_ := false
+            end
           end
-        end
-      done;
-      (* The tap feeds alone cannot repay a large inter-region latency gap:
-         a single multi-millimetre snake breaks the slew limit at the tap
-         buffer's input and every such round is rejected. The proven
-         top-down wiresnaking pass finishes the job — it distributes the
-         remaining padding over the grafted subtrees under per-site slew
-         headroom and RSlack budgets, through the same incremental
-         session. *)
-      if !best.Evaluator.skew > config.Config.stitch_skew_ps then begin
-        let polish_cfg =
-          { config with
-            Config.regions = 1;
-            evaluator = Some (session_hooks stitch_session);
-            spec = None }
-        in
-        match Wiresnaking.run polish_cfg stitched ~baseline:!best with
-        | exception Ivc.Deadline_exceeded -> deadline rc Polish 0
-        | wsn -> best := wsn.Wiresnaking.eval
-      end;
+        done;
+        (* The tap feeds alone cannot repay a large inter-region latency
+           gap: a single multi-millimetre snake breaks the slew limit at
+           the tap buffer's input and every such round is rejected. The
+           proven top-down wiresnaking pass finishes the job — it
+           distributes the remaining padding over the grafted subtrees
+           under per-site slew headroom and RSlack budgets, through the
+           same incremental session. *)
+        if !best.Evaluator.skew > config.Config.stitch_skew_ps then
+          best :=
+            (Wiresnaking.run polish_cfg stitched ~baseline:!best)
+              .Wiresnaking.eval
+      in
+      (try polish () with Ivc.Deadline_exceeded -> deadline rc Polish 0);
       record rc Polish !best ~extra_attempts:!rounds ~extra_accepts:!accepts;
       let polarity =
         Array.fold_left

@@ -43,8 +43,8 @@ let attempts () = Atomic.get attempts_counter
 let accepts () = Atomic.get accepts_counter
 
 let hooks config =
-  match config.Config.evaluator with
-  | Some h -> h
+  match config.Config.spec with
+  | Some ctx -> Speculate.hooks ctx
   | None ->
     { Speculate.eval =
         (fun ?edits:_ t ->
@@ -88,41 +88,10 @@ let debug_decision config ~baseline ~candidate =
       candidate.Evaluator.clr candidate.Evaluator.slew_violations
       candidate.Evaluator.cap_ok
 
-let attempt config tree ~baseline ~objective mutate =
-  Atomic.incr attempts_counter;
-  let h = hooks config in
-  let j = Tree.Journal.start tree in
-  match
-    mutate tree;
-    evaluate ~journal:j config tree
-  with
-  | exception e ->
-    (try rollback config tree j
-     with Invalid_argument _ ->
-       Tree.Journal.abandon j;
-       h.Speculate.note ~edits:None ~new_revision:(Tree.revision tree));
-    raise e
-  | candidate ->
-    debug_decision config ~baseline ~candidate;
-    if
-      ok_violations ~baseline ~candidate
-      && better objective ~candidate ~baseline
-    then begin
-      Atomic.incr accepts_counter;
-      Tree.Journal.commit j;
-      Ok candidate
-    end
-    else begin
-      rollback config tree j;
-      Error
-        (if not (ok_violations ~baseline ~candidate) then
-           "violations introduced"
-         else "no improvement")
-    end
-
-(* The speculation context for a pass: the flow's, when the pass operates
-   on the flow's main tree; otherwise a serial journaled context over the
-   given tree (direct pass invocations, tests). *)
+(* The speculation context for a pass: the configured one, when the pass
+   operates on its main tree; otherwise a serial journaled context over
+   the given tree with the configured hooks (direct pass invocations,
+   tests). *)
 let ctx_for config tree =
   match config.Config.spec with
   | Some ctx when Speculate.main ctx == tree -> ctx

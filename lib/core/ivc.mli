@@ -44,10 +44,11 @@ val attempts : unit -> int
 
 val accepts : unit -> int
 
-(** The configured evaluation: [config.evaluator] when set (Flow points it
-    at an incremental session), otherwise a from-scratch
-    [Evaluator.evaluate ~engine ~seg_len]. Optimization passes should call
-    this instead of {!Analysis.Evaluator.evaluate} directly. [?journal]
+(** The configured evaluation: the main-lane hooks of [config.spec] when
+    set ({!Speculate.hooks}; Flow points them at an incremental session),
+    otherwise a from-scratch [Evaluator.evaluate] under the config's
+    engine and kernel settings. Optimization passes should call this
+    instead of {!Analysis.Evaluator.evaluate} directly. [?journal]
     forwards the journal's dirty hint to the session when the journaled
     edit qualifies (value-only and consistent).
     @raise Deadline_exceeded when [config.deadline] is in the past. *)
@@ -58,25 +59,12 @@ val evaluate :
 (** Roll a journal back and report the rollback to the configured
     session so its dirty-anchor chain stays unbroken. Use this (not
     {!Ctree.Tree.Journal.rollback} directly) to undo exploratory edits
-    made outside {!attempt} — e.g. probe calibrations. The rollback is
-    reported from the tree's current revision, so the journaled edit
-    must already have been reported — evaluated with
-    [evaluate ~journal] — or the session drops its anchor.
+    made outside {!speculate} — {!Probes.calibrate}, the regional
+    polish. The rollback is reported from the tree's current revision,
+    so the journaled edit must already have been reported — evaluated
+    with [evaluate ~journal] — or the session drops its anchor.
     @raise Invalid_argument if the journal is inconsistent. *)
 val rollback : Config.t -> Ctree.Tree.t -> Ctree.Tree.journal -> unit
-
-(** [attempt config tree ~baseline ~objective mutate] opens a journal,
-    applies [mutate], re-evaluates, and either keeps the change returning
-    [Ok eval] or rolls the journal back returning [Error reason].
-
-    A candidate introducing violations is rejected even if the objective
-    improved; a baseline that already had violations only needs to not
-    get worse. [mutate] must go through the public {!Ctree.Tree}
-    mutators only (journal invariant). *)
-val attempt :
-  Config.t -> Ctree.Tree.t -> baseline:Analysis.Evaluator.t ->
-  objective:objective -> (Ctree.Tree.t -> unit) ->
-  (Analysis.Evaluator.t, string) result
 
 (** [speculate config tree ~baseline ~objective candidates] explores the
     candidates speculatively (see {!Speculate.explore_first}),
@@ -84,7 +72,11 @@ val attempt :
     passing the violation rules and strictly better than [baseline]; put
     the preferred candidate first — and commits it to [tree] (and every
     replica lane). Returns the winning index and its evaluation, or
-    [None] when no candidate survived. Counts [Array.length candidates]
+    [None] when no candidate survived (the tree is then unchanged).
+    A candidate introducing violations is rejected even if the objective
+    improved; a baseline that already had violations only needs to not
+    get worse. A one-element array is the single-candidate trial every
+    {!iterate} round makes. Counts [Array.length candidates]
     attempts (submitted, identical at every width) and at most one
     accept.
     @raise Deadline_exceeded when [config.deadline] is in the past. *)

@@ -1,6 +1,7 @@
 (* Shared machinery for the ad-hoc linear models of §IV-E/F: pick a few
    independent mid-tree wires, perturb them, run ONE evaluation, and
-   measure the worst per-unit latency increase over downstream sinks. *)
+   measure the worst per-unit latency increase over downstream sinks
+   ({!calibrate}). *)
 
 module Tree = Ctree.Tree
 module Evaluator = Analysis.Evaluator
@@ -76,6 +77,47 @@ let worst_slew_increase tree ~before ~after id =
   worst_increase_of
     (fun (r : Evaluator.run) s -> r.Evaluator.slew.(s))
     tree ~before ~after id
+
+(* Probe calibration of the §IV-E/F linear models: apply [perturb] at
+   every probe under one journal, run ONE evaluation (the journal's dirty
+   hint keeps the session on its fast path) and roll back through
+   {!Ivc.rollback}, an O(edit) restore reported to the session so its
+   anchor chain survives. [model id], read on the perturbed tree, gives a
+   probe's normaliser and its Elmore-predicted latency increase, or
+   [None] to skip it. Returns the paper's scalar — the worst measured
+   increase per normaliser unit — and the correction factor for the
+   per-edge sensitivities: the mean measured/predicted ratio, clamped to
+   [0.5, 4] so a noisy probe cannot disable the optimizer. *)
+let calibrate config tree ~baseline probes ~perturb ~model =
+  let j = Tree.Journal.start tree in
+  match
+    List.iter (perturb tree) probes;
+    Ivc.evaluate ~journal:j config tree
+  with
+  | exception e ->
+    (try Ivc.rollback config tree j
+     with Invalid_argument _ -> Tree.Journal.abandon j);
+    raise e
+  | after ->
+    let scalar = ref 0. and ratio_sum = ref 0. and ratio_n = ref 0 in
+    List.iter
+      (fun id ->
+        match model id with
+        | None -> ()
+        | Some (norm, predicted) ->
+          let measured = worst_increase tree ~before:baseline ~after id in
+          if measured > 0. then scalar := Float.max !scalar (measured /. norm);
+          if predicted > 1e-6 && measured > 0. then begin
+            ratio_sum := !ratio_sum +. (measured /. predicted);
+            incr ratio_n
+          end)
+      probes;
+    Ivc.rollback config tree j;
+    let correction =
+      if !ratio_n = 0 then 1.
+      else Float.min 4. (Float.max 0.5 (!ratio_sum /. float_of_int !ratio_n))
+    in
+    (!scalar, correction)
 
 (* Per-edge first-order sensitivities under the Elmore model, stage-aware:
    buffers regenerate the signal, so added RC at an edge only matters

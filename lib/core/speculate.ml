@@ -20,16 +20,14 @@ type slot = {
 }
 
 type t = {
-  width : int;
   main : Tree.t;
   main_hooks : hooks;
   slots : slot array; (* [||] = serial mode: candidates run on [main] *)
-  pool : Domain_pool.t option;
 }
 
 type outcome = { ev : Evaluator.t; journal : Tree.journal }
 
-let create ~width ~main ~main_hooks ~slot_hooks ?pool () =
+let create ~width ~main ~main_hooks ~slot_hooks =
   let slots =
     if width <= 1 then [||]
     else
@@ -38,13 +36,12 @@ let create ~width ~main ~main_hooks ~slot_hooks ?pool () =
           { replica; s_hooks = slot_hooks replica;
             synced_rev = Tree.revision main })
   in
-  { width = max 1 width; main; main_hooks; slots; pool }
+  { main; main_hooks; slots }
 
-let serial ~main ~hooks =
-  { width = 1; main; main_hooks = hooks; slots = [||]; pool = None }
+let serial ~main ~hooks = { main; main_hooks = hooks; slots = [||] }
 
-let width t = t.width
 let main t = t.main
+let hooks t = t.main_hooks
 
 let hint_of_journal j =
   if Tree.Journal.value_only j && Tree.Journal.consistent j then
@@ -116,43 +113,6 @@ let resync t slot =
     slot.synced_rev <- Tree.revision t.main
   end
 
-let explore t candidates =
-  let k = Array.length candidates in
-  let out = Array.make k None in
-  if Array.length t.slots = 0 then
-    (* Serial: every candidate runs (and is rolled back) on the main
-       tree itself, through the main session. A journal bypass is fatal
-       here — there is no pristine replica to resync the main tree
-       from, so the corruption must not be silent. *)
-    Array.iteri
-      (fun i apply ->
-        out.(i) <- run_candidate t.main t.main_hooks serial_bypass apply)
-      candidates
-  else begin
-    let pool =
-      match t.pool with Some p -> p | None -> Domain_pool.global ()
-    in
-    let batch = Array.length t.slots in
-    let start = ref 0 in
-    while !start < k do
-      let count = min batch (k - !start) in
-      Array.iter (fun slot -> resync t slot) (Array.sub t.slots 0 count);
-      let jobs = Array.init count (fun i -> i) in
-      let results =
-        Domain_pool.map pool
-          (fun i ->
-            let slot = t.slots.(i) in
-            run_candidate slot.replica slot.s_hooks
-              (fun () -> slot.synced_rev <- -1)
-              candidates.(!start + i))
-          jobs
-      in
-      Array.iteri (fun i r -> out.(!start + i) <- r) results;
-      start := !start + count
-    done
-  end;
-  out
-
 (* First-survivor exploration: the winner is the lowest-indexed candidate
    [accept] admits — a pure function of candidate order, so every width
    picks the same winner. Serial mode exploits it by evaluating lazily
@@ -177,10 +137,7 @@ let explore_first ?measured ?(lazy_only = false) t candidates ~accept =
   let k = Array.length candidates in
   let result = ref None in
   let feed i o = match measured with Some f -> f i o | None -> () in
-  let pool =
-    lazy
-      (match t.pool with Some p -> p | None -> Domain_pool.global ())
-  in
+  let pool = lazy (Domain_pool.global ()) in
   (* Eager batches only pay off when the pool actually runs them
      concurrently; on a workerless (degraded-to-sequential) pool the lazy
      scan on the main lane is the same winner for strictly fewer

@@ -1,23 +1,25 @@
 (** Speculative parallel candidate search for the IVC loops.
 
-    A speculation context owns the {e main} tree plus [width - 1 >= 0]
-    content-identical {e replica} trees, each paired with its own
+    A speculation context owns the {e main} tree plus, when [width > 1],
+    [width] content-identical {e replica} trees, each paired with its own
     incremental evaluation session (passed in as {!hooks}). A round hands
-    K candidate mutations to {!explore}: each candidate is applied to a
-    replica under a {!Ctree.Tree.Journal}, evaluated (the journal's
-    touched set feeds the session's dirty-set fast path), and rolled
-    back — O(edit), no tree copies. The caller picks a winner by a
-    deterministic rule and {!commit} replays the winner's journal onto
-    the main tree and every replica, so all lanes stay bit-identical.
+    K candidate mutations to {!explore_first}: each candidate is applied
+    to a lane's tree under a {!Ctree.Tree.Journal}, evaluated (the
+    journal's touched set feeds the session's dirty-set fast path), and
+    rolled back — O(edit), no tree copies. The first candidate the
+    caller's rule admits wins, and {!commit} replays the winner's
+    journal onto the main tree and every replica, so all lanes stay
+    bit-identical. Parallel batches run on the replicas only; the main
+    lane evaluates in the serial lazy scan.
 
     {b Determinism}: candidates are generated before exploration, the
     evaluation of each candidate depends only on tree content (stage
-    solves are content-addressed), and winner selection is a pure
-    function of the (ordered) outcome array — so any [width], including
-    the serial [width = 1] mode that runs candidates on the main tree
-    itself, produces bit-identical trees and evaluations. Parallelism
-    changes only wall-clock time and, for {!explore_first}, how many
-    losing candidates get (discarded) evaluations. *)
+    solves are content-addressed), and the winner is a pure function of
+    candidate order — so any [width], including the serial [width = 1]
+    mode that runs candidates on the main tree itself, produces
+    bit-identical trees and evaluations. Parallelism changes only
+    wall-clock time and how many losing candidates get (discarded)
+    evaluations. *)
 
 module Tree = Ctree.Tree
 module Evaluator = Analysis.Evaluator
@@ -41,42 +43,34 @@ type t
     redo log {!commit} replays. *)
 type outcome = { ev : Evaluator.t; journal : Tree.journal }
 
-(** [create ~width ~main ~main_hooks ~slot_hooks ()] builds a context
-    with [width] lanes. [slot_hooks] is called once per replica to build
-    its session; replica sessions should be created with
-    [~parallel:false] (they already run inside the domain pool).
-    [width <= 1] builds the serial context (no replicas). [pool]
-    defaults to {!Analysis.Domain_pool.global}. *)
+(** [create ~width ~main ~main_hooks ~slot_hooks] builds a context with
+    [width] replica lanes next to the main lane. [slot_hooks] is called
+    once per replica to build its session; replica sessions should be
+    created with [~parallel:false] (they already run inside
+    {!Analysis.Domain_pool.global}). [width <= 1] builds the serial
+    context (no replicas). *)
 val create :
   width:int -> main:Tree.t -> main_hooks:hooks ->
-  slot_hooks:(Tree.t -> hooks) -> ?pool:Analysis.Domain_pool.t -> unit ->
-  t
+  slot_hooks:(Tree.t -> hooks) -> t
 
 (** Serial context on [main] with no replicas: candidates run (and roll
-    back) on the main tree through [hooks]. Used as the fallback when a
-    pass is invoked on a tree the flow's context does not own. *)
+    back) on the main tree through [hooks]. {!Flow} installs one as
+    [Config.spec] until the tree identity is final, and {!Ivc} builds one
+    when a pass is invoked on a tree the configured context does not
+    own. *)
 val serial : main:Tree.t -> hooks:hooks -> t
 
-val width : t -> int
 val main : t -> Tree.t
+
+(** The main lane's hooks: the evaluation every {!Ivc.evaluate} under
+    this context goes through. *)
+val hooks : t -> hooks
 
 (** The dirty hint a journal justifies: its base revision and touched
     nodes when every recorded edit was a value edit and nothing bypassed
     the journal; [None] otherwise (structural or inconsistent journals
     must not steer the incremental fast path). *)
 val hint_of_journal : Tree.journal -> Evaluator.edit_hint option
-
-(** Evaluate all candidates speculatively; result [i] corresponds to
-    candidate [i]. [None] marks a candidate that mutated its tree
-    outside the journal (it cannot be rolled back or replayed; its lane
-    is resynced with a deep assign before reuse — except the main lane,
-    which has no pristine source: a bypass there raises
-    [Invalid_argument] rather than corrupt silently). Candidate closures
-    receive the tree to mutate — the main tree in serial mode, a replica
-    otherwise — and must route every mutation through the public
-    {!Ctree.Tree} mutators. An exception from a candidate propagates
-    after its lane is restored (or marked stale). *)
-val explore : t -> (Tree.t -> unit) array -> outcome option array
 
 (** First-survivor exploration: return the lowest-indexed candidate that
     [accept] admits, with its outcome — or [None] when none survives.
@@ -87,7 +81,16 @@ val explore : t -> (Tree.t -> unit) array -> outcome option array
     eagerly and discards the precomputed losers. A context whose domain
     pool has no workers (a single-core machine) falls back to the lazy
     scan — eager batches without concurrency only waste evaluations.
-    Same lane-restoration contract as {!explore}.
+
+    A candidate that mutated its tree outside the journal cannot be
+    rolled back or replayed: it is skipped and its replica is resynced
+    with a deep assign before reuse — except on the main lane, which has
+    no pristine source: a bypass there raises [Invalid_argument] rather
+    than corrupt silently. Candidate closures receive the tree to mutate
+    — the main tree in serial mode, a replica otherwise — and must route
+    every mutation through the public {!Ctree.Tree} mutators. An
+    exception from a candidate propagates after its lane is restored (or
+    marked stale).
 
     [measured] receives every evaluated outcome of the deterministic
     prefix (the candidates the serial scan would evaluate: everything

@@ -8,62 +8,29 @@ type result = {
   tws : float;
 }
 
-(* Probe calibration for downsizing: downsize a few independent mid-tree
-   wires, evaluate once, compare against the Elmore sensitivity
-   prediction. Returns (tws, correction) — the paper's scalar (worst
-   per-nm latency increase) and the calibration factor for the per-edge
-   sensitivities. The probe edits run under a journal: the evaluation
-   gets a dirty hint and the restore is an O(edit) rollback reported to
-   the session, so the calibration does not break its anchor chain. *)
+(* Probe calibration for downsizing ({!Probes.calibrate}): downsize a
+   few independent mid-tree wires one class and compare against the
+   Elmore sensitivity prediction. Returns (tws, correction) — the paper's
+   scalar (worst per-nm latency increase) and the calibration factor for
+   the per-edge sensitivities. *)
 let estimate_tws config tree ~baseline =
   if Array.length (Tree.tech tree).Tech.wires < 2 then (0., 1.)
-  else begin
-    let probes =
+  else
+    match
       Probes.pick_probes tree ~count:config.Config.probe_count
         ~min_len:config.Config.size_probe_min_len
         ~eligible:(fun nd -> nd.Tree.wire_class > 0)
-    in
-    if probes = [] then (0., 1.)
-    else begin
+    with
+    | [] -> (0., 1.)
+    | probes ->
       let sens = Probes.sensitivities tree in
-      let j = Tree.Journal.start tree in
-      match
-        List.iter
-          (fun id ->
-            let nd = Tree.node tree id in
-            Tree.set_wire_class tree id (nd.Tree.wire_class - 1))
-          probes;
-        Ivc.evaluate ~journal:j config tree
-      with
-      | exception e ->
-        (try Ivc.rollback config tree j
-         with Invalid_argument _ -> Tree.Journal.abandon j);
-        raise e
-      | after ->
-        let tws = ref 0. and ratio_sum = ref 0. and ratio_n = ref 0 in
-        List.iter
-          (fun id ->
-            let len = float_of_int (Tree.wire_len (Tree.node tree id)) in
-            if len > 0. then begin
-              let measured =
-                Probes.worst_increase tree ~before:baseline ~after id
-              in
-              let predicted = sens.Probes.size_delay.(id) *. len in
-              if measured > 0. then tws := Float.max !tws (measured /. len);
-              if predicted > 1e-6 && measured > 0. then begin
-                ratio_sum := !ratio_sum +. (measured /. predicted);
-                incr ratio_n
-              end
-            end)
-          probes;
-        Ivc.rollback config tree j;
-        let correction =
-          if !ratio_n = 0 then 1.
-          else Float.min 4. (Float.max 0.5 (!ratio_sum /. float_of_int !ratio_n))
-        in
-        (!tws, correction)
-    end
-  end
+      Probes.calibrate config tree ~baseline probes
+        ~perturb:(fun t id ->
+          Tree.set_wire_class t id ((Tree.node t id).Tree.wire_class - 1))
+        ~model:(fun id ->
+          let len = float_of_int (Tree.wire_len (Tree.node tree id)) in
+          if len > 0. then Some (len, sens.Probes.size_delay.(id) *. len)
+          else None)
 
 (* One top-down pass of Algorithm 1: downsize wires whose slow-down slack
    net of inherited RSlack exceeds the per-edge predicted impact, subject

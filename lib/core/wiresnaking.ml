@@ -9,57 +9,25 @@ type result = {
   twn : float;
 }
 
-(* Probe calibration: snake a few independent mid-tree wires by one unit,
-   evaluate once, and compare the measured latency increases against the
-   Elmore sensitivity prediction. Returns (twn, correction): twn is the
-   paper's scalar (worst per-unit latency increase, for reporting), and
-   [correction] scales the per-edge sensitivities — clamped to [0.5, 4] so
-   a noisy probe cannot disable the optimizer. The probe edits run under a
-   journal so the evaluation gets a dirty hint and the restore is an
-   O(edit) rollback reported to the session. *)
+(* Probe calibration ({!Probes.calibrate}): snake a few independent
+   mid-tree wires by one unit and compare the measured latency increases
+   against the Elmore sensitivity prediction. Returns (twn, correction):
+   twn is the paper's scalar (worst per-unit latency increase, for
+   reporting), and [correction] scales the per-edge sensitivities. *)
 let estimate_twn config tree ~baseline =
   let unit = config.Config.snake_unit in
-  let probes =
+  match
     Probes.pick_probes tree ~count:config.Config.probe_count
       ~min_len:config.Config.snake_probe_min_len ~eligible:(fun _ -> true)
-  in
-  match probes with
+  with
   | [] -> (0., 1.)
-  | _ ->
+  | probes ->
     let sens = Probes.sensitivities tree in
-    let j = Tree.Journal.start tree in
-    (match
-       List.iter
-         (fun id ->
-           let nd = Tree.node tree id in
-           Tree.set_snake tree id (nd.Tree.snake + unit))
-         probes;
-       Ivc.evaluate ~journal:j config tree
-     with
-    | exception e ->
-      (try Ivc.rollback config tree j
-       with Invalid_argument _ -> Tree.Journal.abandon j);
-      raise e
-    | after ->
-      let twn = ref 0. and ratio_sum = ref 0. and ratio_n = ref 0 in
-      List.iter
-        (fun id ->
-          let measured =
-            Probes.worst_increase tree ~before:baseline ~after id
-          in
-          let predicted = sens.Probes.snake_delay.(id) *. float_of_int unit in
-          if measured > 0. then twn := Float.max !twn measured;
-          if predicted > 1e-6 && measured > 0. then begin
-            ratio_sum := !ratio_sum +. (measured /. predicted);
-            incr ratio_n
-          end)
-        probes;
-      Ivc.rollback config tree j;
-      let correction =
-        if !ratio_n = 0 then 1.
-        else Float.min 4. (Float.max 0.5 (!ratio_sum /. float_of_int !ratio_n))
-      in
-      (!twn, correction))
+    Probes.calibrate config tree ~baseline probes
+      ~perturb:(fun t id ->
+        Tree.set_snake t id ((Tree.node t id).Tree.snake + unit))
+      ~model:(fun id ->
+        Some (1., sens.Probes.snake_delay.(id) *. float_of_int unit))
 
 (* Snaking units for one wire given the remaining slack budget [available]
    (ps) and the remaining slew headroom of its subtree (ps). Applies the

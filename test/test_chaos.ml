@@ -58,6 +58,8 @@ let test_parse_table () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%S should be rejected" spec)
     bad;
+  Fuzz.never_raises "Chaos.parse" Chaos.parse
+    (Fuzz.inputs ~seed:14 ~count:1000 (ok @ bad));
   check_bool "none is inactive" false (Chaos.is_active Chaos.none);
   check_bool "seed alone is inactive" false
     (Chaos.is_active (parse_exn "seed=5"));

@@ -288,13 +288,26 @@ let test_probe_calibration () =
   let baseline = Ev.evaluate ~engine:Ev.Spice tree in
   let size_before = Tree.size tree in
   let stats_before = Ctree.Stats.compute tree in
+  let digest = Tree.digest tree in
+  let pinned what (worst, corr) expected =
+    Alcotest.(check string) what expected (Printf.sprintf "%h %h" worst corr)
+  in
   let twn, corr = Core.Wiresnaking.estimate_twn config tree ~baseline in
   check_bool "twn positive" true (twn > 0.);
   check_bool "correction clamped" true (corr >= 0.5 && corr <= 4.);
   (* probing restores the tree exactly *)
   check_int "size restored" size_before (Tree.size tree);
   check_int "wirelength restored" stats_before.Ctree.Stats.wirelength
-    (Ctree.Stats.compute tree).Ctree.Stats.wirelength
+    (Ctree.Stats.compute tree).Ctree.Stats.wirelength;
+  check_bool "digest restored after twn" true (Tree.digest tree = digest);
+  let tws = Core.Wiresizing.estimate_tws config tree ~baseline in
+  check_bool "digest restored after tws" true (Tree.digest tree = digest);
+  (* Both estimators share one calibration routine; their outputs are
+     pinned bit-exactly so a refactor of it cannot drift them. *)
+  pinned "(twn, correction)" (twn, corr)
+    "0x1.99c89fcc38p-5 0x1.607e63ff97ee1p-1";
+  pinned "(tws, correction)" tws
+    "0x1.46da1d7d54802p-16 0x1.31a345001c2dep-1"
 
 let test_slew_headroom_stage_aware () =
   let tree, _ = initial_tree () in
@@ -325,11 +338,12 @@ let test_ivc_rollback () =
   let before = Tree.size tree in
   (* A mutation that makes things strictly worse must be rolled back. *)
   let result =
-    Core.Ivc.attempt config tree ~baseline ~objective:Core.Ivc.Skew (fun t ->
-        let s = (Tree.sinks t).(0) in
-        Tree.set_snake t s ((Tree.node t s).Tree.snake + 3_000_000))
+    Core.Ivc.speculate config tree ~baseline ~objective:Core.Ivc.Skew
+      [| (fun t ->
+           let s = (Tree.sinks t).(0) in
+           Tree.set_snake t s ((Tree.node t s).Tree.snake + 3_000_000)) |]
   in
-  check_bool "rejected" true (Result.is_error result);
+  check_bool "rejected" true (Option.is_none result);
   check_int "size restored" before (Tree.size tree);
   let after = Ev.evaluate ~engine:Ev.Spice tree in
   check_near 1e-9 "skew restored" baseline.Ev.skew after.Ev.skew
@@ -347,10 +361,12 @@ let test_ivc_accepts_improvement () =
       (Tree.sinks tree).(0) (Tree.sinks tree)
   in
   let result =
-    Core.Ivc.attempt config tree ~baseline ~objective:Core.Ivc.Skew (fun t ->
-        Tree.set_snake t fastest ((Tree.node t fastest).Tree.snake + 100_000))
+    Core.Ivc.speculate config tree ~baseline ~objective:Core.Ivc.Skew
+      [| (fun t ->
+           Tree.set_snake t fastest
+             ((Tree.node t fastest).Tree.snake + 100_000)) |]
   in
-  check_bool "accepted" true (Result.is_ok result)
+  check_bool "accepted" true (Option.is_some result)
 
 let test_ivc_better () =
   let mk skew clr =

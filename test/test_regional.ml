@@ -1,6 +1,7 @@
 (* Regional flow: partition balance/coverage properties, regions=1
    bit-identity with the monolithic flow, stitched-vs-monolithic quality
-   oracle, worker-count determinism, and POLISH-checkpoint fast resume. *)
+   oracle, worker-count determinism, POLISH-checkpoint fast resume, and
+   deadline incidents inside STITCH and POLISH. *)
 
 open Geometry
 module Tree = Ctree.Tree
@@ -247,6 +248,53 @@ let test_regional_resume () =
   check_bool "re-derived digest identical" true
     (Tree.digest c.Flow.r_flow.Flow.tree = Tree.digest a.Flow.r_flow.Flow.tree)
 
+(* ---------- deadlines inside STITCH and POLISH ---------- *)
+
+(* A deadline that passes at the start of STITCH or POLISH records that
+   stage's incident before the run gives up. The callbacks sleep past
+   the deadline at the chosen point: when the top flow's incident is
+   forwarded (every flow hits one injected failure, so that is incident
+   [regions + 1]) or when the STITCH row is emitted. *)
+let test_stitch_polish_deadline () =
+  let sinks = random_sinks 313 40 3_000_000 in
+  let cfg =
+    { config with
+      Core.Config.regions = 2; speculation = 1;
+      inject_numerical_failures = 1; stitch_skew_ps = -1. }
+  in
+  let now = Core.Monoclock.now in
+  let t0 = now () in
+  ignore (Flow.run_regional ~config:cfg ~tech ~source sinks);
+  let budget = (2. *. (now () -. t0)) +. 0.2 in
+  let last_incident ~sleep_at_incident ~sleep_at_step =
+    let deadline = now () +. budget in
+    let sleep () = Unix.sleepf (Float.max 0. (deadline -. now ()) +. 0.01) in
+    let incidents = ref [] in
+    let on_incident inc =
+      incidents := inc :: !incidents;
+      if List.length !incidents = sleep_at_incident then sleep ()
+    in
+    let on_step (e : Flow.trace_entry) =
+      if Some e.Flow.step = sleep_at_step then sleep ()
+    in
+    (match
+       Flow.run_regional
+         ~config:{ cfg with Core.Config.deadline = Some deadline }
+         ~on_incident ~on_step ~tech ~source sinks
+     with
+    | _ -> Alcotest.fail "the run finished past its deadline"
+    | exception Core.Ivc.Deadline_exceeded -> ());
+    List.hd !incidents
+  in
+  List.iter
+    (fun (name, step, inc) ->
+      check_bool (name ^ " incident") true
+        (inc.Flow.inc_step = step && inc.Flow.inc_action = "deadline"))
+    [ ("STITCH", Flow.Stitch,
+       last_incident ~sleep_at_incident:3 ~sleep_at_step:None);
+      ("POLISH", Flow.Polish,
+       last_incident ~sleep_at_incident:0 ~sleep_at_step:(Some Flow.Stitch)) ]
+
 let () =
   Alcotest.run "regional"
     [
@@ -267,4 +315,7 @@ let () =
        ]);
       ("resume",
        [ Alcotest.test_case "polish fast-path" `Slow test_regional_resume ]);
+      ("deadline",
+       [ Alcotest.test_case "STITCH and POLISH record incidents" `Slow
+           test_stitch_polish_deadline ]);
     ]

@@ -55,7 +55,10 @@ let test_spec_parsing () =
   check_bool "garbage spec becomes Bad_spec" true
     (match Runner.spec_of_string "no-such-bench" with
     | Runner.Bad_spec { bs_name = "no-such-bench"; _ } -> true
-    | _ -> false)
+    | _ -> false);
+  Fuzz.never_raises "spec_of_string" Runner.spec_of_string
+    (Fuzz.inputs ~seed:12 ~count:300
+       [ "fail:boom"; "hang:spin"; "ti:3"; "grid:2"; "ti:-5"; "ispd09f11" ])
 
 (* ---------- fault isolation (the tentpole acceptance scenario) ---------- *)
 
@@ -237,7 +240,10 @@ let test_json_roundtrip () =
     (fun bad ->
       check_bool ("rejects " ^ bad) true
         (match Json.of_string bad with Error _ -> true | Ok _ -> false))
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "nulll"; "1 2"; "\"unterminated" ]
+    [ ""; "{"; "[1,]"; "{\"a\":}"; "nulll"; "1 2"; "\"unterminated" ];
+  Fuzz.never_raises "Json.of_string" Json.of_string
+    (Fuzz.inputs ~seed:11 ~count:2000
+       [ Json.to_string v; Json.to_compact_string v ])
 
 let () =
   Alcotest.run "runner"

@@ -68,7 +68,15 @@ let test_protocol_roundtrip () =
         (match Protocol.decode_request bad with
         | Error _ -> true
         | Ok _ -> false))
-    [ Json.Null; Json.Obj []; Json.Obj [ ("op", Json.Str "warp") ] ]
+    [ Json.Null; Json.Obj []; Json.Obj [ ("op", Json.Str "warp") ] ];
+  (* Fuzzed frames: whatever parses as JSON decodes to a request or an
+     error, never an exception. *)
+  Fuzz.never_raises "decode_request"
+    (fun s -> Result.map Protocol.decode_request (Json.of_string s))
+    (Fuzz.inputs ~seed:13 ~count:1000
+       (List.map
+          (fun r -> Json.to_compact_string (Protocol.encode_request r))
+          requests))
 
 let test_framing () =
   let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in

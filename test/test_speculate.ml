@@ -1,5 +1,5 @@
 (* Journaled tree edits + speculative candidate search (the machinery
-   behind Ivc.attempt/speculate): rollback exactness against a Tree.copy
+   behind Ivc.speculate): rollback exactness against a Tree.copy
    oracle, redo-replay, dirty-hint classification, the no-copy guarantee
    of the journaled attempt path, the incremental dirty-set fast path,
    and the width-independence (determinism) of the speculative flow. *)
@@ -162,7 +162,7 @@ let test_journal_value_only_hint () =
     (Core.Speculate.hint_of_journal j2 = None);
   Tree.Journal.rollback j2
 
-(* ---------- Ivc.attempt: no tree copies on the hot path ---------- *)
+(* ---------- Ivc.speculate: no tree copies on the hot path ---------- *)
 
 let test_attempt_no_copy () =
   let tree, _ = initial_tree () in
@@ -173,9 +173,10 @@ let test_attempt_no_copy () =
   in
   let c0 = Tree.copies () in
   let r =
-    Core.Ivc.attempt config tree ~baseline ~objective:Core.Ivc.Skew worsen
+    Core.Ivc.speculate config tree ~baseline ~objective:Core.Ivc.Skew
+      [| worsen |]
   in
-  check_bool "worsening candidate rejected" true (Result.is_error r);
+  check_bool "worsening candidate rejected" true (Option.is_none r);
   ignore
     (Core.Ivc.speculate config tree ~baseline ~objective:Core.Ivc.Skew
        [| worsen; worsen |]);
@@ -212,7 +213,10 @@ let test_dirty_refresh_agreement () =
         (fun ~edits ~new_revision ->
           Ev.Incremental.note_edits s ~edits ~new_revision) }
   in
-  let config = { config with Core.Config.evaluator = Some hooks } in
+  let config =
+    { config with
+      Core.Config.spec = Some (Core.Speculate.serial ~main:tree ~hooks) }
+  in
   ignore (Core.Ivc.evaluate config tree);
   let sk = (Tree.sinks tree).(0) in
   let j = Tree.Journal.start tree in

@@ -224,7 +224,7 @@ let test_probe_keeps_dirty_path () =
   in
   let config =
     { Core.Config.scalability with
-      Core.Config.evaluator = Some hooks;
+      Core.Config.spec = Some (Core.Speculate.serial ~main:tree ~hooks);
       surrogate = true;
       surrogate_state = Some (Surrogate.create ());
       speculation = 1 }
