@@ -412,25 +412,19 @@ type edit_hint = { base_revision : int; nodes : int list }
 module Store = struct
   (* Cross-session stage-result sharing for a long-lived process: the
      same content-derived (fingerprint, r_drv, s_drv) keys the per-slot
-     caches use, behind a lock-striped bounded table safe from any
-     domain. Result arrays are written once by the solving engine and
-     only read afterwards, so handing one array to several sessions is
-     race-free. Sessions sharing a store MUST be numerically identical
-     (same engine, transient step and mode) — the keys do not encode the
-     config, the owner of the store does (the serve daemon keys stores
-     per config family, and Flow skips the store on degraded retries). *)
+     caches use, in a table safe from any domain, plus the factorisation
+     table the per-job caches read through. Result arrays are written
+     once by the solving engine and only read afterwards, so handing one
+     array to several sessions is race-free. Sessions sharing a store
+     MUST be numerically identical (same engine, transient step and
+     mode) — the keys do not encode the config, the owner of the store
+     does (the serve daemon keys stores per config family, and Flow skips
+     the store on degraded retries). *)
   type key = Int64.t * float * float
 
-  type stripe = {
-    lock : Mutex.t;
-    tbl : (key, (float * float) array) Hashtbl.t;
-  }
-
   type t = {
-    stripes : stripe array;
-    stripe_cap : int;
-    evictions : int Atomic.t;
-    fstore : Transient.Fstore.t;
+    results : (key, (float * float) array) Cache.Shared.t;
+    factored : (Int64.t * float, Transient.factored) Cache.Shared.t;
   }
 
   (* Per-request view: the shared store plus this request's own hit/miss
@@ -442,79 +436,32 @@ module Store = struct
     h_misses : int Atomic.t;
   }
 
-  let create ?(stripes = 16) ?(cap = 262_144) () =
-    let nstripes = max 1 stripes in
-    { stripes =
-        Array.init nstripes (fun _ ->
-            { lock = Mutex.create (); tbl = Hashtbl.create 1024 });
-      stripe_cap = max 16 (cap / nstripes);
-      evictions = Atomic.make 0;
-      fstore = Transient.Fstore.create () }
-
-  let stripe_of t ((fp, _, _) : key) =
-    t.stripes.((Int64.to_int fp land max_int) mod Array.length t.stripes)
+  let create () =
+    { results =
+        Cache.Shared.create ~stripes:16 ~cap:262_144
+          ~stripe_of:(fun (fp, _, _) -> Int64.to_int fp);
+      factored =
+        Cache.Shared.create ~stripes:16 ~cap:16_384
+          ~stripe_of:(fun (fp, _) -> Int64.to_int fp) }
 
   let handle t = { store = t; h_hits = Atomic.make 0; h_misses = Atomic.make 0 }
-  let of_handle h = h.store
-  let fstore t = t.fstore
 
   let find h key =
-    let s = stripe_of h.store key in
-    Mutex.lock s.lock;
-    let r = Hashtbl.find_opt s.tbl key in
-    Mutex.unlock s.lock;
+    let r = Cache.Shared.find h.store.results key in
     (match r with
     | Some _ -> Atomic.incr h.h_hits
     | None -> Atomic.incr h.h_misses);
     r
 
-  let add h key v =
-    let t = h.store in
-    let s = stripe_of t key in
-    Mutex.lock s.lock;
-    if not (Hashtbl.mem s.tbl key) then begin
-      if Hashtbl.length s.tbl >= t.stripe_cap then begin
-        (* Random-subset eviction: drop a quarter of the stripe in hash
-           order — effectively random keys, never the one being added. *)
-        let drop = max 1 (t.stripe_cap / 4) in
-        let doomed = ref [] and k = ref 0 in
-        (try
-           Hashtbl.iter
-             (fun key _ ->
-               if !k >= drop then raise Exit;
-               doomed := key :: !doomed;
-               incr k)
-             s.tbl
-         with Exit -> ());
-        List.iter (Hashtbl.remove s.tbl) !doomed;
-        ignore (Atomic.fetch_and_add t.evictions !k)
-      end;
-      Hashtbl.add s.tbl key v
-    end;
-    Mutex.unlock s.lock
-
+  let add h key v = Cache.Shared.add h.store.results key v
   let hits h = Atomic.get h.h_hits
   let misses h = Atomic.get h.h_misses
-
-  let length t =
-    Array.fold_left
-      (fun acc s ->
-        Mutex.lock s.lock;
-        let n = Hashtbl.length s.tbl in
-        Mutex.unlock s.lock;
-        acc + n)
-      0 t.stripes
-
-  let evictions t = Atomic.get t.evictions
+  let length t = Cache.Shared.length t.results
+  let evictions t = Cache.Shared.evictions t.results
 
   let clear t =
-    Array.iter
-      (fun s ->
-        Mutex.lock s.lock;
-        Hashtbl.reset s.tbl;
-        Mutex.unlock s.lock)
-      t.stripes;
-    Transient.Fstore.clear t.fstore
+    Cache.Shared.clear t.results;
+    Cache.Shared.clear t.factored
 end
 
 module Incremental = struct
@@ -526,7 +473,7 @@ module Incremental = struct
   type slot = {
     s_corner : Tech.Corner.t;
     s_transition : transition;
-    cache : (Int64.t * float * float, (float * float) array) Hashtbl.t;
+    cache : (Store.key, (float * float) array) Cache.t;
     mutable hits : int;
     mutable misses : int;
   }
@@ -589,8 +536,8 @@ module Incremental = struct
     mutable pending : int list;
   }
 
-  (* Reset-on-overflow cap: generous enough that a full Flow run never
-     trips it, small enough to bound memory on pathological inputs.
+  (* Slot-cache cap: generous enough that a full Flow run never reaches
+     it, small enough to bound memory on pathological inputs.
      (Factorisation caches carry their own cap; see Transient.Fcache.) *)
   let cache_cap = 200_000
 
@@ -604,13 +551,13 @@ module Incremental = struct
        factorisation table, so a repeat request re-solves its stages
        without re-factoring them even when the result store has turned
        the entries over. *)
-    let fstore = Option.map (fun h -> Store.fstore (Store.of_handle h)) store in
+    let factored = Option.map (fun h -> h.Store.store.Store.factored) store in
     let slot corner tr =
-      { s_corner = corner; s_transition = tr; cache = Hashtbl.create 1024;
-        hits = 0; misses = 0 }
+      { s_corner = corner; s_transition = tr;
+        cache = Cache.create ~cap:cache_cap; hits = 0; misses = 0 }
     in
     let job lanes =
-      { lanes; fcache = Transient.Fcache.create ?store:fstore ();
+      { lanes; fcache = Transient.Fcache.create ?store:factored ();
         ffcache = Transient.Flat.Fcache.create ();
         wss = Array.map (fun _ -> Transient.workspace ()) lanes }
     in
@@ -649,28 +596,24 @@ module Incremental = struct
       Moments.solve_fast (Rcflat.stage_rc pool si) ~r_drv ~s_drv
     | Elmore_model -> Elmore.solve (Rcflat.stage_rc pool si) ~r_drv ~s_drv
 
-  let cache_add slot key r =
-    if Hashtbl.length slot.cache >= cache_cap then Hashtbl.reset slot.cache;
-    Hashtbl.add slot.cache key r
-
   (* A slot's cached result for [key]: the slot cache first, then — on a
      local miss — the shared store, since another request may already
      have solved this exact stage. [None] leaves the solve to the
      caller, which then [commit]s the result. *)
   let lookup session slot key =
-    match Hashtbl.find_opt slot.cache key with
+    match Cache.find slot.cache key with
     | Some _ as hit ->
       slot.hits <- slot.hits + 1;
       hit
     | None ->
       slot.misses <- slot.misses + 1;
       let shared = Option.bind session.store (fun h -> Store.find h key) in
-      Option.iter (cache_add slot key) shared;
+      Option.iter (Cache.add slot.cache key) shared;
       shared
 
   let commit session slot key r =
     Option.iter (fun h -> Store.add h key r) session.store;
-    cache_add slot key r
+    Cache.add slot.cache key r
 
   (* March [job]'s lanes over the pool in lockstep, stage by stage. Each
      slot sees exactly the cache, store and engine traffic of its own
@@ -1056,7 +999,7 @@ module Incremental = struct
     let hits = Array.fold_left (fun a s -> a + s.hits) 0 slots in
     let misses = Array.fold_left (fun a s -> a + s.misses) 0 slots in
     let entries =
-      Array.fold_left (fun a s -> a + Hashtbl.length s.cache) 0 slots
+      Array.fold_left (fun a s -> a + Cache.length s.cache) 0 slots
     in
     let factored_entries =
       Array.fold_left

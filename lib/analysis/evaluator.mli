@@ -122,11 +122,12 @@ val reset_eval_count : unit -> unit
 val pp_summary : Format.formatter -> t -> unit
 
 (** Cross-session stage-result store for long-lived processes (the serve
-    daemon): a lock-striped bounded table of solved stage results under
-    the same content-derived [(fingerprint, r_drv, s_drv)] keys the
-    per-slot caches use, plus a shared {!Transient.Fstore} of
-    backward-Euler factorisations. Result arrays are written once and
-    only read afterwards, so sharing them across domains is race-free.
+    daemon): a {!Cache.Shared} table of solved stage results under the
+    same content-derived [(fingerprint, r_drv, s_drv)] keys the per-slot
+    caches use, plus one of backward-Euler factorisations that the
+    sessions' {!Transient.Fcache}s read through. Result arrays are
+    written once and only read afterwards, so sharing them across
+    domains is race-free.
 
     {b Caveat}: the keys do not encode the evaluation config — every
     session attached to one store must be numerically identical (same
@@ -137,10 +138,10 @@ val pp_summary : Format.formatter -> t -> unit
 module Store : sig
   type t
 
-  (** [create ?stripes ?cap ()] — [cap] (default 262144) stage results
-      spread over [stripes] (default 16) independently locked stripes;
-      full stripes evict a random quarter rather than resetting. *)
-  val create : ?stripes:int -> ?cap:int -> unit -> t
+  (** An empty store: at most 262144 stage results and 16384
+      factorisations, each table in 16 independently locked stripes. A
+      full stripe evicts one cold entry per insertion (see {!Cache}). *)
+  val create : unit -> t
 
   (** A per-request view of a store: the same shared tables, plus this
       request's own atomic hit/miss counters — so concurrent requests
@@ -158,10 +159,10 @@ module Store : sig
   (** Live stage results across all stripes (takes each stripe lock). *)
   val length : t -> int
 
-  (** Entries evicted since creation. *)
+  (** Stage results evicted since creation. *)
   val evictions : t -> int
 
-  (** Drop all shared state, including the factorisation store. *)
+  (** Drop all shared state, factorisations included. *)
   val clear : t -> unit
 end
 
@@ -229,7 +230,7 @@ module Incremental : sig
       [store] attaches a shared {!Store} handle: slot-cache misses
       consult the shared table before running an engine, computed
       results are published back, and the per-job factorisation caches
-      read through the store's shared {!Transient.Fstore}. See the
+      read through the store's shared factorisation table. See the
       {!Store} caveat on numerically-identical configs. *)
   val create :
     ?engine:engine -> ?flat:bool -> ?seg_len:int -> ?parallel:bool ->

@@ -223,172 +223,37 @@ let grow ws ~n ~w =
 (* Factorisation cache                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Second-chance ("clock") eviction: the one bounded (fingerprint,
-   step)-keyed table behind both factorisation caches. The old behaviour
-   at capacity was [Hashtbl.reset] — harmless in a one-shot flow whose
-   working set never reaches the cap, but in a long-lived server it dumps
-   every warm factorisation at once and then thrashes at the cap
-   boundary. Instead, entries carry a [used] bit set on every hit;
-   insertion at capacity rotates a FIFO ring, giving used entries a
-   second chance (clearing the bit) and evicting the first cold one. The
-   entry being inserted is never a candidate — it joins the ring only
-   after room has been made. *)
-module Clock = struct
+module Fcache = struct
   type key = int64 * float
-  type 'v entry = { cv : 'v; mutable used : bool }
-
-  type 'v t = {
-    tbl : (key, 'v entry) Hashtbl.t;
-    ring : key Queue.t;
-    cap : int;
-  }
-
-  let create ~cap = { tbl = Hashtbl.create 64; ring = Queue.create (); cap }
-
-  let insert c key v =
-    if Hashtbl.length c.tbl >= c.cap then begin
-      (* Terminates: a full rotation clears every [used] flag it sees, so
-         within 2·|ring| pops a cold entry is found. *)
-      let budget = ref (2 * Queue.length c.ring) in
-      let evicted = ref false in
-      while (not !evicted) && !budget > 0 do
-        decr budget;
-        match Queue.pop c.ring with
-        | exception Queue.Empty -> evicted := true
-        | k -> (
-          match Hashtbl.find_opt c.tbl k with
-          | Some e when e.used ->
-            e.used <- false;
-            Queue.add k c.ring
-          | Some _ ->
-            Hashtbl.remove c.tbl k;
-            evicted := true
-          | None -> ())
-      done
-    end;
-    Hashtbl.add c.tbl key { cv = v; used = false };
-    Queue.add key c.ring
-
-  (* The cached value for [key], or [compute ()] inserted under it. *)
-  let get c key compute =
-    match Hashtbl.find_opt c.tbl key with
-    | Some e ->
-      e.used <- true;
-      e.cv
-    | None ->
-      let v = compute () in
-      insert c key v;
-      v
-
-  let length c = Hashtbl.length c.tbl
-
-  let clear c =
-    Hashtbl.reset c.tbl;
-    Queue.clear c.ring
-end
-
-(* Process-wide factorisation store shared across independent caches
-   (and, in the serve daemon, across requests): a lock-striped bounded
-   table safe to touch from any domain. [factored] values are immutable
-   after {!factor} returns, so sharing them across domains is free of
-   data races; only the stripe tables need the locks. *)
-module Fstore = struct
-  type stripe = {
-    lock : Mutex.t;
-    tbl : (int64 * float, factored) Hashtbl.t;
-  }
 
   type t = {
-    stripes : stripe array;
-    stripe_cap : int;
-    evictions : int Atomic.t;
+    local : (key, factored) Cache.t;
+    store : (key, factored) Cache.Shared.t option;
   }
 
-  let create ?(stripes = 16) ?(cap = 16384) () =
-    let nstripes = Int.max 1 stripes in
-    {
-      stripes =
-        Array.init nstripes (fun _ ->
-            { lock = Mutex.create (); tbl = Hashtbl.create 64 });
-      stripe_cap = Int.max 1 (cap / nstripes);
-      evictions = Atomic.make 0;
-    }
-
-  let stripe t ((fp, _) : int64 * float) =
-    t.stripes.((Int64.to_int fp land max_int) mod Array.length t.stripes)
-
-  let find t key =
-    let s = stripe t key in
-    Mutex.lock s.lock;
-    let r = Hashtbl.find_opt s.tbl key in
-    Mutex.unlock s.lock;
-    r
-
-  let add t key f =
-    let s = stripe t key in
-    Mutex.lock s.lock;
-    if not (Hashtbl.mem s.tbl key) then begin
-      if Hashtbl.length s.tbl >= t.stripe_cap then begin
-        (* Random-subset eviction: drop a quarter of the stripe in hash
-           order — bounded, incremental, and never the entry about to be
-           inserted. *)
-        let drop = Int.max 1 (t.stripe_cap / 4) in
-        let doomed = ref [] and n = ref 0 in
-        (try
-           Hashtbl.iter
-             (fun k _ ->
-               if !n >= drop then raise Exit;
-               doomed := k :: !doomed;
-               incr n)
-             s.tbl
-         with Exit -> ());
-        List.iter (Hashtbl.remove s.tbl) !doomed;
-        ignore (Atomic.fetch_and_add t.evictions !n)
-      end;
-      Hashtbl.add s.tbl key f
-    end;
-    Mutex.unlock s.lock
-
-  let length t =
-    Array.fold_left
-      (fun acc s ->
-        Mutex.lock s.lock;
-        let n = Hashtbl.length s.tbl in
-        Mutex.unlock s.lock;
-        acc + n)
-      0 t.stripes
-
-  let evictions t = Atomic.get t.evictions
-
-  let clear t =
-    Array.iter
-      (fun s ->
-        Mutex.lock s.lock;
-        Hashtbl.reset s.tbl;
-        Mutex.unlock s.lock)
-      t.stripes
-end
-
-module Fcache = struct
-  type t = { clock : factored Clock.t; store : Fstore.t option }
-
-  let create ?(cap = 4096) ?store () = { clock = Clock.create ~cap; store }
+  let create ?(cap = 4096) ?store () = { local = Cache.create ~cap; store }
 
   let get c ?fp rc ~step =
     let fp = match fp with Some f -> f | None -> Rcnet.fingerprint rc in
     let key = (fp, step) in
-    Clock.get c.clock key (fun () ->
-        (* A cached factor is bit-identical to a recomputed one, so the
-           shared store changes wall-clock only, never numerics. *)
-        match Option.bind c.store (fun s -> Fstore.find s key) with
+    match Cache.find c.local key with
+    | Some f -> f
+    | None ->
+      (* A cached factor is bit-identical to a recomputed one, so the
+         shared store changes wall-clock only, never numerics. *)
+      let f =
+        match Option.bind c.store (fun s -> Cache.Shared.find s key) with
         | Some f -> f
         | None ->
           let f = factor ~step rc in
-          Option.iter (fun s -> Fstore.add s key f) c.store;
-          f)
+          Option.iter (fun s -> Cache.Shared.add s key f) c.store;
+          f
+      in
+      Cache.add c.local key f;
+      f
 
-  let length c = Clock.length c.clock
-  let clear c = Clock.clear c.clock
+  let length c = Cache.length c.local
+  let clear c = Cache.clear c.local
 end
 
 (* Steps composed arithmetically (mult *. step /. mult, corner scaling…)
@@ -1177,15 +1042,21 @@ module Flat = struct
     done
 
   module Fcache = struct
-    type t = ffactored Clock.t
+    type t = (int64 * float, ffactored) Cache.t
 
-    let create ?(cap = 4096) () = Clock.create ~cap
+    let create ?(cap = 4096) () : t = Cache.create ~cap
 
     let get c (p : Rcflat.t) ~si ~step =
-      Clock.get c (p.Rcflat.fp.(si), step) (fun () -> factor p ~si ~step)
+      let key = (p.Rcflat.fp.(si), step) in
+      match Cache.find c key with
+      | Some f -> f
+      | None ->
+        let f = factor p ~si ~step in
+        Cache.add c key f;
+        f
 
-    let length = Clock.length
-    let clear = Clock.clear
+    let length = Cache.length
+    let clear = Cache.clear
   end
 
   (* Same arithmetic as the boxed [stage_tau] on bit-identical inputs, so

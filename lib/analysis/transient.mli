@@ -42,46 +42,22 @@ val workspace : unit -> workspace
     ad-hoc solves on one domain reuse the grown arrays across calls. *)
 val domain_workspace : unit -> workspace
 
-(** Process-wide factorisation store: a lock-striped bounded table of
-    [(fingerprint, step) → factored] safe to use from any domain
-    concurrently — the cross-request sharing layer behind the serve
-    daemon ([factored] values are immutable once built, so handing the
-    same factorisation to several domains is race-free). A per-domain
-    {!Fcache} created with [?store] consults it on a local miss and
-    publishes what it factors, so warm factorisations survive session
-    (and request) teardown. Eviction is incremental (a quarter of the
-    full stripe, in hash order), never a whole-table wipe. *)
-module Fstore : sig
-  type t
-
-  (** [create ?stripes ?cap ()] — [cap] (default 16384) entries spread
-      over [stripes] (default 16) independently locked stripes. *)
-  val create : ?stripes:int -> ?cap:int -> unit -> t
-
-  (** Live entries across all stripes (takes each stripe lock). *)
-  val length : t -> int
-
-  (** Entries evicted since creation. *)
-  val evictions : t -> int
-
-  val clear : t -> unit
-end
-
 (** Per-(stage, step) factorisation cache keyed by {!Rcnet.fingerprint}.
     The backward-Euler factor depends on the timestep, so each rate of the
-    multi-rate kernel gets its own entry. Bounded: at [cap] entries
-    (default 4096) insertion evicts exactly one cold entry by
-    second-chance ("clock") rotation — entries hit since their last
-    inspection survive, and the entry being inserted is never dropped —
-    so a long-lived process keeps its warm set instead of dumping the
-    whole table at the cap boundary. Not thread-safe: use one cache per
+    multi-rate kernel gets its own entry. A {!Cache.t} of [cap] entries
+    (default 4096), so at the cap one cold entry makes room (see
+    {!Cache} for the policy). Not thread-safe: use one cache per
     domain. *)
 module Fcache : sig
   type t
 
-  (** [store] attaches a shared {!Fstore}: local misses consult it
-      before factoring, local factorisations are published to it. *)
-  val create : ?cap:int -> ?store:Fstore.t -> unit -> t
+  (** [store] attaches a shared factorisation table (the one an
+      {!Evaluator.Store} owns): local misses consult it before
+      factoring, and local factorisations are published to it, so warm
+      factorisations outlive the cache. [factored] values are immutable
+      once built, so sharing them across domains is race-free. *)
+  val create :
+    ?cap:int -> ?store:(int64 * float, factored) Cache.Shared.t -> unit -> t
 
   (** [get c rc ~step] returns the cached factorisation for [rc] at
       [step], computing and storing it on a miss. [fp] supplies a

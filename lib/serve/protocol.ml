@@ -120,7 +120,7 @@ let write_frame ?faults fd json =
 (* [timeout_s] bounds the whole frame, idle wait included: the deadline
    is fixed before the first header byte, so neither a silent peer nor a
    mid-frame staller can hold the fd past it. *)
-let read_frame ?timeout_s ?faults fd =
+let read_payload ?timeout_s ?faults fd =
   let deadline = Option.map (fun s -> Core.Monoclock.now () +. s) timeout_s in
   match really_read ?deadline ?faults fd 4 with
   | None -> None
@@ -130,10 +130,13 @@ let read_frame ?timeout_s ?faults fd =
       raise (Framing_error (Printf.sprintf "bad frame length %d" n));
     (match really_read ?deadline ?faults fd n with
     | None -> raise (Framing_error "truncated frame")
-    | Some payload -> (
-      match Json.of_string (Bytes.to_string payload) with
-      | Ok json -> Some json
-      | Error e -> raise (Framing_error ("bad frame payload: " ^ e))))
+    | Some payload -> Some (Json.of_string (Bytes.to_string payload)))
+
+let read_frame ?timeout_s ?faults fd =
+  match read_payload ?timeout_s ?faults fd with
+  | None -> None
+  | Some (Ok json) -> Some json
+  | Some (Error e) -> raise (Framing_error ("bad frame payload: " ^ e))
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)

@@ -50,8 +50,19 @@ val really_read :
 
 val write_frame : ?faults:faults -> Unix.file_descr -> Json.t -> unit
 
-(** [None] on clean EOF at a frame boundary. [timeout_s] bounds the
-    whole frame, idle wait included.
+(** One whole frame, its payload parsed: [Some (Error _)] when the frame
+    is intact but its payload is not JSON (or nests deeper than
+    {!Json.max_depth}), so the connection can carry on. [None] on clean
+    EOF at a frame boundary. [timeout_s] bounds the whole frame, idle
+    wait included.
+    @raise Framing_error on torn/oversized frames.
+    @raise Timeout once [timeout_s] passes with the frame incomplete. *)
+val read_payload :
+  ?timeout_s:float -> ?faults:faults -> Unix.file_descr ->
+  (Json.t, string) result option
+
+(** {!read_payload}, with an unparseable payload raised as a
+    {!Framing_error}.
     @raise Framing_error on torn/oversized/unparseable frames.
     @raise Timeout once [timeout_s] passes with the frame incomplete. *)
 val read_frame :

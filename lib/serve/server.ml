@@ -341,13 +341,13 @@ let handle_conn t fd =
   let c = register t fd in
   let rec loop () =
     match
-      Protocol.read_frame ?timeout_s:t.conn_timeout_s ?faults:t.io_faults fd
+      Protocol.read_payload ?timeout_s:t.conn_timeout_s ?faults:t.io_faults fd
     with
     | None -> ()
-    | Some json ->
+    | Some payload ->
       c.c_last <- Core.Monoclock.now ();
       let keep_going =
-        match Protocol.decode_request json with
+        match Result.bind payload Protocol.decode_request with
         | Ok request ->
           c.c_busy <- true;
           Fun.protect
@@ -370,9 +370,10 @@ let handle_conn t fd =
       unregister t c;
       try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      (* A peer that vanishes mid-frame, writes garbage, stalls past the
-         connection deadline or triggers EPIPE only loses its own
-         connection — each outcome is counted. *)
+      (* A peer that vanishes mid-frame, breaks the framing, stalls past
+         the connection deadline or triggers EPIPE only loses its own
+         connection — each outcome is counted. An intact frame whose
+         payload does not parse is answered [bad_request] above. *)
       try loop () with
       | Protocol.Framing_error _ -> Atomic.incr t.conn_lost
       | Protocol.Timeout -> Atomic.incr t.conn_timeouts

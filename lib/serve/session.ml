@@ -9,8 +9,9 @@
 module Ev = Analysis.Evaluator
 module Json = Suite.Report.Json
 
-(* Bounded LRU of completed responses under two kinds of key, sharing
-   one capacity and one eviction policy.
+(* Bounded cache of completed responses under two kinds of key, sharing
+   one capacity and one eviction policy (second chance, see
+   {!Analysis.Cache}).
 
    [Client k] is the client's idempotency key. A retry of a key the
    daemon already answered is served from here verbatim — zero
@@ -22,90 +23,48 @@ module Json = Suite.Report.Json
    daemon's fixed configuration, so a repeat of the same work is answered
    from the stored result at lookup cost. An entry is admitted only on
    the digest's second clean completion: [seen] remembers first
-   completions (bounded, oldest forgotten first), so the first repeat is
-   still answered by the stage store and one-off traffic never churns
-   the cache.
+   completions (bounded; only ever queried with [mem], so the oldest is
+   forgotten first), so the first repeat is still answered by the stage
+   store and one-off traffic never churns the cache.
 
    Only [Completed] responses are remembered: caching a transient failure
-   would make every retry of that key fail forever. Mutex-protected
-   (lookups come from connection systhreads and worker domains); eviction
-   is an O(cap) scan for the stalest generation, fine at the default
-   cap. *)
+   would make every retry of that key fail forever. Mutex-protected:
+   lookups come from connection systhreads and worker domains. *)
 module Memo = struct
+  module Cache = Analysis.Cache
+
   type key = Client of string | Content of Digest.t
-  type entry = { resp : Protocol.response; mutable gen : int }
 
   type cache = {
     lock : Mutex.t;
-    tbl : (key, entry) Hashtbl.t;
-    cap : int;
-    mutable tick : int;
-    seen : (Digest.t, unit) Hashtbl.t;
-    seen_order : Digest.t Queue.t;
+    tbl : (key, Protocol.response) Cache.t;
+    seen : (Digest.t, unit) Cache.t;
   }
 
   let create cap =
-    {
-      lock = Mutex.create ();
-      tbl = Hashtbl.create 64;
-      cap = max 1 cap;
-      tick = 0;
-      seen = Hashtbl.create 64;
-      seen_order = Queue.create ();
-    }
+    { lock = Mutex.create (); tbl = Cache.create ~cap; seen = Cache.create ~cap }
 
   let locked c f =
     Mutex.lock c.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) f
 
-  let find c key =
-    locked c (fun () ->
-        match Hashtbl.find_opt c.tbl key with
-        | Some e ->
-          c.tick <- c.tick + 1;
-          e.gen <- c.tick;
-          Some e.resp
-        | None -> None)
+  let find c key = locked c (fun () -> Cache.find c.tbl key)
 
   (* First writer wins: concurrent same-key requests may both compute,
-     but retries see one stable answer. Caller holds the lock. *)
-  let insert c key resp =
-    if not (Hashtbl.mem c.tbl key) then begin
-      if Hashtbl.length c.tbl >= c.cap then begin
-        let victim =
-          Hashtbl.fold
-            (fun k e acc ->
-              match acc with
-              | Some (_, g) when g <= e.gen -> acc
-              | _ -> Some (k, e.gen))
-            c.tbl None
-        in
-        match victim with
-        | Some (k, _) -> Hashtbl.remove c.tbl k
-        | None -> ()
-      end;
-      c.tick <- c.tick + 1;
-      Hashtbl.add c.tbl key { resp; gen = c.tick }
-    end
-
-  let add c key resp = locked c (fun () -> insert c key resp)
+     but retries see one stable answer. *)
+  let add c key resp = locked c (fun () -> Cache.add c.tbl key resp)
 
   (* A clean completion of content [d]: admitted if [d] completed
      before, otherwise remembered as seen once. *)
   let completed c d resp =
     locked c (fun () ->
-        if Hashtbl.mem c.seen d then insert c (Content d) resp
-        else begin
-          if Hashtbl.length c.seen >= c.cap then
-            Hashtbl.remove c.seen (Queue.pop c.seen_order);
-          Hashtbl.replace c.seen d ();
-          Queue.push d c.seen_order
-        end)
+        if Cache.mem c.seen d then Cache.add c.tbl (Content d) resp
+        else Cache.add c.seen d ())
 
   (* Entries of each kind: (client, content). *)
   let lengths c =
     locked c (fun () ->
-        Hashtbl.fold
+        Cache.fold
           (fun k _ (cl, co) ->
             match k with Client _ -> (cl + 1, co) | Content _ -> (cl, co + 1))
           c.tbl (0, 0))

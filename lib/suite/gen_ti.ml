@@ -32,20 +32,30 @@ let site rng idx =
 (* The site layout is one stream at seed [0x7151] walked in index order,
    so site [idx] reads draws [4·idx, 4·idx+4) of it whatever [n] is. Only
    the chosen sites are laid out, each from a stream jumped to its first
-   draw: O(n log n) instead of laying out all 135 000 sites per call. *)
+   draw, instead of laying out all 135 000 sites per call. *)
 let generate n =
   if n < 1 || n > candidate_count then
     invalid_arg (Printf.sprintf "Gen_ti.generate: n=%d out of range" n);
   let rng = Rng.create (0x71 + n) in
-  (* Sample n distinct site indices: Floyd's algorithm. *)
-  let chosen = Hashtbl.create (2 * n) in
+  (* Sample n distinct site indices (Floyd's algorithm), marked in a
+     byte per site and read back in ascending order, skipping eight
+     unmarked sites per word. *)
+  let chosen = Bytes.make ((candidate_count + 7) land lnot 7) '\000' in
   for j = candidate_count - n to candidate_count - 1 do
     let t = Rng.int rng (j + 1) in
-    if Hashtbl.mem chosen t then Hashtbl.replace chosen j ()
-    else Hashtbl.replace chosen t ()
+    Bytes.set chosen (if Bytes.get chosen t = '\000' then t else j) '\001'
   done;
-  let idxs = Array.of_seq (Hashtbl.to_seq_keys chosen) in
-  Array.sort Int.compare idxs;
+  let idxs = Array.make n 0 and k = ref 0 and w = ref 0 in
+  while !k < n do
+    if Bytes.get_int64_ne chosen !w <> 0L then
+      for i = !w to !w + 7 do
+        if Bytes.get chosen i <> '\000' then begin
+          idxs.(!k) <- i;
+          incr k
+        end
+      done;
+    w := !w + 8
+  done;
   (* Caps keep drawing from the Floyd stream in ascending index order. *)
   let sink idx =
     let site_rng = Rng.create 0x7151 in

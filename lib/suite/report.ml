@@ -140,6 +140,8 @@ module Json = struct
      diff has to read back committed suite.json files. *)
   exception Parse of string
 
+  let max_depth = 512
+
   let of_string text =
     let n = String.length text in
     let pos = ref 0 in
@@ -231,12 +233,19 @@ module Json = struct
       | Some f -> f
       | None -> fail "bad number"
     in
-    let rec parse_value () =
+    (* [depth] containers enclose the value; the cap bounds the recursion
+       an adversarial nest of brackets can demand. *)
+    let open_container depth =
+      if depth >= max_depth then
+        fail (Printf.sprintf "nesting deeper than %d" max_depth);
+      advance ()
+    in
+    let rec parse_value depth =
       skip_ws ();
       match peek () with
       | None -> fail "unexpected end of input"
       | Some '{' ->
-        advance ();
+        open_container depth;
         skip_ws ();
         if peek () = Some '}' then begin advance (); Obj [] end
         else begin
@@ -245,7 +254,7 @@ module Json = struct
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); fields ((k, v) :: acc)
@@ -255,12 +264,12 @@ module Json = struct
           fields []
         end
       | Some '[' ->
-        advance ();
+        open_container depth;
         skip_ws ();
         if peek () = Some ']' then begin advance (); List [] end
         else begin
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); items (v :: acc)
@@ -276,7 +285,7 @@ module Json = struct
       | Some ('-' | '0' .. '9') -> Num (parse_number ())
       | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
     in
-    match parse_value () with
+    match parse_value 0 with
     | v ->
       skip_ws ();
       if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)

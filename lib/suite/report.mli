@@ -27,8 +27,13 @@ module Json : sig
   (** Single-line rendering, no trailing newline — one JSONL record. *)
   val to_compact_string : t -> string
 
+  (** Deepest nesting of arrays and objects {!of_string} accepts. *)
+  val max_depth : int
+
   (** Parse a complete JSON document (accepts everything {!to_string} and
-      {!to_compact_string} emit). Errors carry the byte offset. *)
+      {!to_compact_string} emit). Errors carry the byte offset. A document
+      nested deeper than {!max_depth} is an [Error], returned at the
+      bracket that exceeds the cap without reading further. *)
   val of_string : string -> (t, string) result
 
   (** [member k v] — field [k] of an [Obj], [None] otherwise. *)

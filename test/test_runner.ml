@@ -241,6 +241,22 @@ let test_json_roundtrip () =
       check_bool ("rejects " ^ bad) true
         (match Json.of_string bad with Error _ -> true | Ok _ -> false))
     [ ""; "{"; "[1,]"; "{\"a\":}"; "nulll"; "1 2"; "\"unterminated" ];
+  (* Nesting is capped at [max_depth], arrays and objects alike. *)
+  let nest d = String.make d '[' ^ String.make d ']' in
+  let nest_obj d =
+    String.concat "" (List.init d (fun _ -> "{\"k\":")) ^ "1"
+    ^ String.make d '}'
+  in
+  List.iter
+    (fun (what, f) ->
+      check_bool (what ^ " at the cap parses") true
+        (Result.is_ok (Json.of_string (f Json.max_depth)));
+      match Json.of_string (f (Json.max_depth + 1)) with
+      | Error e ->
+        check_bool (what ^ " past the cap names the cap") true
+          (contains e "nesting deeper than")
+      | Ok _ -> Alcotest.failf "%s past the cap parsed" what)
+    [ ("array nest", nest); ("object nest", nest_obj) ];
   Fuzz.never_raises "Json.of_string" Json.of_string
     (Fuzz.inputs ~seed:11 ~count:2000
        [ Json.to_string v; Json.to_compact_string v ])

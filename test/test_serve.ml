@@ -438,6 +438,23 @@ let test_bad_spec_request () =
           | Ok _ -> Alcotest.failf "%s: expected bad_request" spec
           | Error e -> Alcotest.fail e)
         [ ("ti:-5", "positive"); ("ti:135001", "at most 135000") ];
+      (* An intact frame holding a million-deep nest is answered with a
+         structured error, and the connection carries on. *)
+      Client.with_connection addr (fun fd ->
+          let payload = Bytes.of_string Fuzz.deep_nest in
+          let hdr = Bytes.create 4 in
+          Bytes.set_int32_be hdr 0 (Int32.of_int (Bytes.length payload));
+          Protocol.really_write fd hdr;
+          Protocol.really_write fd payload;
+          (match Option.map Protocol.decode_response (Protocol.read_frame fd) with
+          | Some (Ok (Protocol.Failed { code; detail })) ->
+            check_string "deep nest code" "bad_request" code;
+            check_bool "detail names the cap" true
+              (contains detail "nesting deeper than")
+          | _ -> Alcotest.fail "expected a bad_request reply to the deep nest");
+          match Client.request fd Protocol.Ping with
+          | Ok (Protocol.Completed _) -> ()
+          | Ok _ | Error _ -> Alcotest.fail "connection should survive");
       (* A bad request is the caller's error, not a worker crash. *)
       match Client.oneshot addr Protocol.Stats with
       | Ok (Protocol.Completed { body; _ }) ->
@@ -695,14 +712,18 @@ let test_fcache_second_chance () =
   check_bool "refactors after clear" true
     (Tr.Fcache.get c rc1 ~step:0.5 != f1)
 
-(* A shared Fstore is consulted on local misses and fed by local
-   factorisations, so a second cache sees the first one's work. *)
+(* A shared factorisation table is consulted on local misses and fed by
+   local factorisations, so a second cache sees the first one's work. *)
 let test_fcache_store_backing () =
-  let store = Tr.Fstore.create () in
+  let store =
+    Analysis.Cache.Shared.create ~stripes:16 ~cap:16_384
+      ~stripe_of:(fun (fp, _) -> Int64.to_int fp)
+  in
   let c1 = Tr.Fcache.create ~store () in
   let rc = mk_rc 7 in
   let f = Tr.Fcache.get c1 rc ~step:0.5 in
-  check_bool "published to the store" true (Tr.Fstore.length store > 0);
+  check_bool "published to the store" true
+    (Analysis.Cache.Shared.length store > 0);
   let c2 = Tr.Fcache.create ~store () in
   check_bool "fresh cache hits the store" true
     (Tr.Fcache.get c2 rc ~step:0.5 == f)
