@@ -1,9 +1,11 @@
 (* A tiny fixed-size pool of OCaml 5 domains for coarse-grained fan-out
-   (one job per corner × transition evaluation pass). Stdlib-only: a
+   (one job per evaluated corner or session job). Stdlib-only: a
    mutex/condition protected queue feeds the workers; the caller also
    drains the queue itself ("caller helps") so a pool of size 0 — the
    right size on a single-core host — degrades to plain sequential
-   execution with no domain spawned at all. *)
+   execution with no domain spawned at all, and a [map] called from
+   inside a job of any pool puts that job's domain to work on the map
+   instead of blocking it. *)
 
 type job = unit -> unit
 
@@ -26,14 +28,7 @@ type t = {
 let run_protected pool job =
   try job () with _ -> Atomic.incr pool.failed
 
-(* True for the whole life of a worker domain of any pool, false on
-   every other domain (the main one, domains spawned elsewhere). *)
-let worker_key = Domain.DLS.new_key (fun () -> false)
-
-let on_worker () = Domain.DLS.get worker_key
-
 let worker_loop pool =
-  Domain.DLS.set worker_key true;
   let rec loop () =
     Mutex.lock pool.lock;
     while Queue.is_empty pool.queue && not pool.closing do
@@ -175,19 +170,22 @@ let map_weighted pool ~weight f xs =
   map_order pool ~order f xs
 
 (* Lazily created process-wide pool, reaped at exit so multicore hosts do
-   not hang on dangling domains. *)
+   not hang on dangling domains. Workers of other pools reach for it
+   concurrently, so the first creation is taken under a lock. *)
 let global_pool = ref None
+let global_lock = Mutex.create ()
 
 let global () =
-  match !global_pool with
-  | Some p -> p
-  | None ->
-    let p = create () in
-    global_pool := Some p;
-    at_exit (fun () ->
-        match !global_pool with
-        | Some p ->
-          global_pool := None;
-          shutdown p
-        | None -> ());
-    p
+  Mutex.protect global_lock (fun () ->
+      match !global_pool with
+      | Some p -> p
+      | None ->
+        let p = create () in
+        global_pool := Some p;
+        at_exit (fun () ->
+            match !global_pool with
+            | Some p ->
+              global_pool := None;
+              shutdown p
+            | None -> ());
+        p)

@@ -37,9 +37,11 @@ val failed_jobs : t -> int
 val shutdown : t -> unit
 
 (** Parallel [Array.map], order-preserving. The calling domain executes
-    jobs too, so a size-0 pool is exactly sequential [Array.map]. If any
-    job raises, the exception for the lowest index is re-raised after all
-    jobs finish. *)
+    jobs too, so a size-0 pool is exactly sequential [Array.map], and a
+    call made from a job of any pool (a worker domain) fans out without
+    adding a domain: it takes the first job itself, then helps drain the
+    queue. If any job raises, the exception for the lowest index is
+    re-raised after all jobs finish. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** [map_weighted pool ~weight f xs] — {!map}, but jobs are submitted to
@@ -49,11 +51,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     stay in input order; on a size-0 pool this is plain sequential
     [Array.map], like {!map}. *)
 val map_weighted : t -> weight:('a -> int) -> ('a -> 'b) -> 'a array -> 'b array
-
-(** Whether the calling domain is a worker of some pool. Jobs
-    running there already hold one of the cores the outer pool was
-    sized for; a nested fan-out from them adds domains, not cores. *)
-val on_worker : unit -> bool
 
 (** The shared lazily-created pool (default size), joined automatically
     at process exit. *)

@@ -238,44 +238,76 @@ let summarize tree runs =
     stats;
   }
 
-(* One job per corner on the shared domain pool, Rise then Fall inside
-   it: [pass corner] sets up the state the corner's two passes share
-   (factorisation cache, the executing domain's workspace) and no mutable
-   state crosses jobs. Verdicts are folded in corner × transition order —
-   the first stopped or failed corner decides, exactly as if the passes
-   had run one after another — so the outcome never depends on
-   scheduling. A call made on a pool worker (a daemon request, a region
-   lane) runs its corners inline instead, stopping at the first corner
-   that decides: the outer pool already holds the cores, and a nested
-   fan-out would only add a domain competing with it, so the call's
-   wall time would hang on how the host schedules the two. *)
-let fan_out_corners tree pass =
+(* A corner's Rise and Fall passes of an unbounded evaluation marched in
+   lockstep: each stage of both is one [solve_pair si ~r_drv:(rise, fall)
+   ~s_drv:(rise, fall)]. Failures keep the order of the two passes run
+   one after another. A paired stage that raises is re-solved single-lane
+   by [solve transition si] to learn which lane raised: a Rise failure
+   escapes at once, a Fall failure only once the Rise pass, finished
+   alone, has not raised. *)
+let paired_pass ~solve ~solve_pair tree (pool : Rcflat.t) corner =
+  let tech = Tree.tech tree in
+  let arena = pool.Rcflat.arena in
+  let n = pool.Rcflat.nstages in
+  let rise = pstate_make tree Rise and fall = pstate_make tree Fall in
+  let solo tr st si =
+    let driver, t, r_drv, s_drv = stage_drive tech arena pool corner st si in
+    pstate_apply arena pool corner st si ~driver ~tr:t
+      (solve tr si ~r_drv ~s_drv)
+  in
+  let rec go si =
+    if si < n then begin
+      let dr, trr, rr, hr = stage_drive tech arena pool corner rise si in
+      let df, trf, rf, hf = stage_drive tech arena pool corner fall si in
+      match solve_pair si ~r_drv:(rr, rf) ~s_drv:(hr, hf) with
+      | res_r, res_f ->
+        pstate_apply arena pool corner rise si ~driver:dr ~tr:trr res_r;
+        pstate_apply arena pool corner fall si ~driver:df ~tr:trf res_f;
+        go (si + 1)
+      | exception _ -> (
+        solo Rise rise si;
+        match solo Fall fall si with
+        | () -> go (si + 1)
+        | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          for si = si + 1 to n - 1 do
+            solo Rise rise si
+          done;
+          Printexc.raise_with_backtrace e bt)
+    end
+  in
+  go 0;
+  [ pstate_run rise corner Rise; pstate_run fall corner Fall ]
+
+(* One job per corner on the shared domain pool: [corner_runs corner] is
+   the corner's Rise and Fall runs, or raises [Slew_exceeded] once a pass
+   has stopped, and no mutable state crosses jobs. Verdicts are folded in corner ×
+   transition order — the first stopped or failed corner decides,
+   exactly as if the passes had run one after another — so the outcome
+   never depends on scheduling. The caller runs a corner itself and
+   helps drain the queue, so a call made on a worker domain of any pool
+   (a daemon request, a region lane) adds no domain either. *)
+let fan_out_corners tree corner_runs =
   let corner_job corner =
-    match
-      let run = pass corner in
-      let rise = run Rise in
-      [ rise; run Fall ]
-    with
+    match corner_runs corner with
     | runs -> Ok (Some runs)
     | exception Slew_exceeded -> Ok None
     | exception e -> Error e
   in
-  let corners = (Tree.tech tree).Tech.corners in
   let outcomes =
-    if Domain_pool.on_worker () then Seq.map corner_job (List.to_seq corners)
+    Domain_pool.map (Domain_pool.global ()) corner_job
+      (Array.of_list (Tree.tech tree).Tech.corners)
+  in
+  let rec fold acc i =
+    if i = Array.length outcomes then
+      Some (summarize tree (List.concat (List.rev acc)))
     else
-      Array.to_seq
-        (Domain_pool.map (Domain_pool.global ()) corner_job
-           (Array.of_list corners))
+      match outcomes.(i) with
+      | Ok (Some runs) -> fold (runs :: acc) (i + 1)
+      | Ok None -> None
+      | Error e -> raise e
   in
-  let rec fold acc outcomes =
-    match outcomes () with
-    | Seq.Nil -> Some (summarize tree (List.concat (List.rev acc)))
-    | Seq.Cons (Ok (Some runs), rest) -> fold (runs :: acc) rest
-    | Seq.Cons (Ok None, _) -> None
-    | Seq.Cons (Error e, _) -> raise e
-  in
-  fold [] outcomes
+  fold [] 0
 
 (* Reusable arena + stage pool for stateless evaluation, rebound to each
    new tree: a recompile grows the buffers only when a tree outgrows
@@ -337,7 +369,11 @@ let screen ?(engine = Spice) ?(flat = false) ?(seg_len = Rcnet.default_seg_len)
      stay read-only while the corners march over them. *)
   let pool = Scratch.bind s ~seg_len tree in
   let arena = pool.Rcflat.arena in
-  let pass solve = propagate ~max_slew ~solve tree arena pool in
+  (* A single-lane engine marches a corner's Rise pass, then its Fall. *)
+  let passes solve corner =
+    let rise = propagate ~max_slew ~solve tree arena pool corner Rise in
+    [ rise; propagate ~max_slew ~solve tree arena pool corner Fall ]
+  in
   (* One factorisation cache per corner lets its two passes share
      per-stage factorisations (and, in the adaptive modes, the coarse-rate
      factors) without allocating state arrays per stage. A cached factor
@@ -348,7 +384,7 @@ let screen ?(engine = Spice) ?(flat = false) ?(seg_len = Rcnet.default_seg_len)
     fan_out_corners tree (fun corner ->
         let fcache = Transient.Flat.Fcache.create ()
         and ws = Transient.domain_workspace () in
-        pass
+        passes
           (fun si ~r_drv ~s_drv ->
             Transient.Flat.solve ?step:transient_step ?mode:transient_mode
               ~fcache ~ws pool ~si ~r_drv ~s_drv)
@@ -359,18 +395,31 @@ let screen ?(engine = Spice) ?(flat = false) ?(seg_len = Rcnet.default_seg_len)
     let rcs = Array.init (Rcflat.nstages pool) (Rcflat.stage_rc pool) in
     match engine with
     | Spice ->
+      (* The boxed kernel pairs an unbounded evaluation's Rise and Fall,
+         as sessions do. A bounded screen marches them one after another:
+         paired, a Rise stop would leave the Fall stages marched beside
+         it solved for nothing, work the sequential order never does. *)
       fan_out_corners tree (fun corner ->
           let fcache = Transient.Fcache.create ()
-          and ws = Transient.domain_workspace () in
-          pass
-            (fun si ~r_drv ~s_drv ->
-              Transient.solve ?step:transient_step ?mode:transient_mode
-                ~fcache ~fp:pool.Rcflat.fp.(si) ~ws rcs.(si) ~r_drv ~s_drv)
-            corner)
+          and ws_rise, ws_fall = Transient.domain_workspace_pair () in
+          let solve tr si ~r_drv ~s_drv =
+            Transient.solve ?step:transient_step ?mode:transient_mode ~fcache
+              ~fp:pool.Rcflat.fp.(si)
+              ~ws:(match tr with Rise -> ws_rise | Fall -> ws_fall)
+              rcs.(si) ~r_drv ~s_drv
+          in
+          if max_slew < infinity then passes (solve Rise) corner
+          else
+            paired_pass ~solve
+              ~solve_pair:(fun si ~r_drv ~s_drv ->
+                Transient.solve_pair ?step:transient_step ?mode:transient_mode
+                  ~fcache ~fp:pool.Rcflat.fp.(si) ~ws:(ws_rise, ws_fall)
+                  rcs.(si) ~r_drv ~s_drv)
+              tree pool corner)
     | Arnoldi ->
-      fan_out_corners tree (pass (fun si -> Moments.solve rcs.(si)))
+      fan_out_corners tree (passes (fun si -> Moments.solve rcs.(si)))
     | Elmore_model ->
-      fan_out_corners tree (pass (fun si -> Elmore.solve rcs.(si))))
+      fan_out_corners tree (passes (fun si -> Elmore.solve rcs.(si))))
 
 let evaluate ?engine ?flat ?seg_len ?transient_step ?transient_mode tree =
   Option.get

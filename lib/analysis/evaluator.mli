@@ -65,16 +65,21 @@ type t = {
     [Elmore_model] solve the {!Rcflat.stage_rc} copy and ignore
     [flat].
 
-    The corners fan out over {!Domain_pool.global}: one job per corner
-    runs the Rise then the Fall pass, sharing that corner's
-    factorisation cache and the executing domain's workspace, and no
-    mutable state crosses jobs. Runs are assembled in corner ×
-    transition order and a cached factor is bit-identical to a
-    recomputed one, so results do not depend on the pool size or on
-    scheduling. A call made on a worker domain of any pool
-    ({!Domain_pool.on_worker}) runs its corners one after another on
-    that domain instead: the outer pool already holds the cores.
-    [evaluate] is [screen ~max_slew:infinity].
+    Each corner is one job, and its Rise and Fall passes share that
+    corner's factorisation cache. With the boxed [Spice] kernel the two
+    passes of an evaluation march as a pair, as {!Incremental} sessions
+    do: each stage of both is one {!Transient.solve_pair} over the
+    executing domain's {!Transient.domain_workspace_pair}. A bounded
+    {!screen}, the streaming kernel, [Arnoldi] and [Elmore_model] run
+    the Rise then the Fall pass single-lane. One fan-out rule holds
+    wherever the call is made: the corner jobs map over
+    {!Domain_pool.global}, whose caller runs a job itself and helps
+    drain the queue, so a call on a worker domain of any pool (a daemon
+    request, a region lane) adds no domain. No mutable state crosses
+    jobs, runs are assembled in corner × transition order, and a pair
+    or a cached factor is bit-identical to single solves, so results do
+    not depend on the pool size or on scheduling. [evaluate] is
+    [screen ~max_slew:infinity].
 
     A call borrows its arena snapshot and stage pool from a
     lock-guarded process-wide free list (safe from any thread or
@@ -103,6 +108,25 @@ val screen :
   ?engine:engine -> ?flat:bool -> ?seg_len:int -> ?transient_step:float ->
   ?transient_mode:Transient.mode -> max_slew:float -> Ctree.Tree.t ->
   t option
+
+(** [paired_pass ~solve ~solve_pair tree pool corner] — one corner's
+    Rise and Fall runs of {!evaluate} over [pool] (compiled from
+    [tree]'s arena), marched in lockstep: every stage of both is
+    [solve_pair si ~r_drv:(rise, fall) ~s_drv:(rise, fall)], and a stage
+    a lane must solve alone is [solve transition si ~r_drv ~s_drv].
+
+    Failures surface as if the two passes ran one after another. A
+    [solve_pair] that raises is re-solved single-lane to learn which
+    lane raised: a Rise exception escapes at once; a Fall exception
+    escapes only after the Rise pass, finished alone, has not raised.
+    Exposed, with the solvers as parameters, so that order can be
+    tested. *)
+val paired_pass :
+  solve:(transition -> int -> r_drv:float -> s_drv:float ->
+         (float * float) array) ->
+  solve_pair:(int -> r_drv:float * float -> s_drv:float * float ->
+              (float * float) array * (float * float) array) ->
+  Ctree.Tree.t -> Rcflat.t -> Tech.Corner.t -> run list
 
 (** The nominal-corner run for a source transition. *)
 val nominal_run : t -> transition -> run

@@ -198,6 +198,12 @@ let workspace () =
 let domain_workspace_key = Domain.DLS.new_key workspace
 let domain_workspace () = Domain.DLS.get domain_workspace_key
 
+(* A paired march's second lane: the domain's workspace plus one more. *)
+let second_workspace_key = Domain.DLS.new_key workspace
+
+let domain_workspace_pair () =
+  (domain_workspace (), Domain.DLS.get second_workspace_key)
+
 let grow ws ~n ~w =
   if ws.cap_n < n then begin
     let c = Int.max n (Int.max 64 (2 * ws.cap_n)) in

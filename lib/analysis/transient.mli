@@ -42,6 +42,11 @@ val workspace : unit -> workspace
     ad-hoc solves on one domain reuse the grown arrays across calls. *)
 val domain_workspace : unit -> workspace
 
+(** Two distinct workspaces of the calling domain, lazily created, for
+    the two lanes of a {!solve_pair}: the first is
+    {!domain_workspace}. *)
+val domain_workspace_pair : unit -> workspace * workspace
+
 (** Per-(stage, step) factorisation cache keyed by {!Rcnet.fingerprint}.
     The backward-Euler factor depends on the timestep, so each rate of the
     multi-rate kernel gets its own entry. A {!Cache.t} of [cap] entries

@@ -94,7 +94,7 @@ let generate name =
     in
     if inside_any obstacles p then sample_sink i (tries + 1)
     else
-      { Dme.Zst.label = Printf.sprintf "s%d" i; pos = p;
+      { Dme.Zst.label = "s" ^ string_of_int i; pos = p;
         cap = 5. +. (Rng.float rng *. 30.); parity = 0 }
   in
   let sinks = Array.init spec.n_sinks (fun i -> sample_sink i 0) in

@@ -435,6 +435,154 @@ let test_paired_parallel_sequential () =
     step (Printf.sprintf "edit %d" i)
   done
 
+(* ---------- Paired stateless screens ---------- *)
+
+(* The initial tree of every ISPD instance and of ti:200, built once. *)
+let screen_trees =
+  lazy
+    (List.map
+       (fun spec ->
+         let b = Suite.Runner.load_bench spec in
+         let tree, _, _, _ =
+           Core.Flow.initial_tree ~tech:b.Suite.Format_io.tech
+             ~source:b.Suite.Format_io.source b.Suite.Format_io.sinks
+         in
+         (spec, tree))
+       (Suite.Gen_ispd.names @ [ "ti:200" ]))
+
+(* The stateless boxed-Spice evaluation marches each corner's rise and
+   fall as pairs; a fresh one-job-at-a-time session must give the same
+   bits in every run's latency and slew arrays. *)
+let test_evaluate_matches_session () =
+  List.iter
+    (fun (spec, tree) ->
+      let session = Ev.Incremental.create ~parallel:false tree in
+      check_bits_eval spec (Ev.Incremental.refresh session) (Ev.evaluate tree))
+    (Lazy.force screen_trees)
+
+(* Run [f] as a job on the one worker of [pool] and wait for its result. *)
+let in_job pool f =
+  let cell = ref None and lock = Mutex.create () and filled = Condition.create () in
+  Analysis.Domain_pool.submit pool (fun () ->
+      let r = match f () with v -> Ok v | exception e -> Error e in
+      Mutex.protect lock (fun () ->
+          cell := Some r;
+          Condition.signal filled));
+  Mutex.protect lock (fun () ->
+      while Option.is_none !cell do Condition.wait filled lock done);
+  match Option.get !cell with Ok v -> v | Error e -> raise e
+
+(* A screen made inside a pool job fans its corners out like one made on
+   the main domain; the result may not depend on where it was called. *)
+let test_screen_in_job () =
+  let pool = Analysis.Domain_pool.create ~size:1 () in
+  Fun.protect
+    ~finally:(fun () -> Analysis.Domain_pool.shutdown pool)
+    (fun () ->
+      List.iter
+        (fun (spec, tree) ->
+          let main = Option.get (Ev.screen ~max_slew:infinity tree) in
+          let job =
+            in_job pool (fun () -> Ev.screen ~max_slew:infinity tree)
+          in
+          match job with
+          | Some ev -> check_bits_eval (spec ^ " in a job") main ev
+          | None -> Alcotest.fail (spec ^ ": unbounded screen rejected"))
+        (Lazy.force screen_trees))
+
+(* [screen ~max_slew] rejects exactly when the full (paired) evaluation's
+   largest worst slew exceeds [max_slew], and otherwise returns that
+   evaluation bit for bit. The sweep includes every run's own worst slew,
+   its neighbours, and the bounds between the rise and the fall worst
+   slews, where one pass of a corner stops and the other does not. *)
+let test_screen_verdict_sweep () =
+  List.iter
+    (fun (spec, tree) ->
+      let full = Ev.evaluate tree in
+      let worst tr =
+        List.fold_left
+          (fun acc (r : Ev.run) ->
+            if r.Ev.transition = tr then Float.max acc r.Ev.worst_slew else acc)
+          0. full.Ev.runs
+      in
+      let top = Float.max (worst Ev.Rise) (worst Ev.Fall) in
+      let per_run =
+        List.concat_map
+          (fun (r : Ev.run) ->
+            let w = r.Ev.worst_slew in
+            [ Float.pred w; w; Float.succ w ])
+          full.Ev.runs
+      in
+      List.iter
+        (fun max_slew ->
+          let label = Printf.sprintf "%s max_slew %h" spec max_slew in
+          match Ev.screen ~max_slew tree with
+          | None -> check_bool (label ^ ": rejected") true (top > max_slew)
+          | Some ev ->
+            check_bool (label ^ ": accepted") true (top <= max_slew);
+            check_bits_eval label full ev)
+        ([ 0.; (worst Ev.Rise +. worst Ev.Fall) /. 2.; top /. 2.; infinity ]
+        @ per_run))
+    (Lazy.force screen_trees)
+
+(* The paired pass's failure order, driven by stub stage solvers over
+   [rich_tree]'s four stages: every tap settles unless the script makes
+   a lane raise at one stage, and a pair raises when either of its lanes
+   would. The outcome is the one of the Rise pass run to its end, then
+   the Fall pass; each lane solves its stages in order, each once. *)
+exception Stub of string
+
+let test_paired_failure_order () =
+  let tree = rich_tree () in
+  let pool = Analysis.Rcflat.compile (Ctree.Arena.compile tree) in
+  let corner = List.hd tech.Tech.corners in
+  let nstages = Analysis.Rcflat.nstages pool in
+  check_int "stages" 4 nstages;
+  let case label ?rise ?fall expected ~rise_solved ~fall_solved =
+    let raises tr si =
+      (if tr = Ev.Rise then rise else fall) = Some si
+    in
+    let solved = ref [] in
+    let solve_lane tr si =
+      if raises tr si then raise (Stub (if tr = Ev.Rise then "rise" else "fall"));
+      solved := (tr, si) :: !solved;
+      Array.make (Array.length pool.Analysis.Rcflat.tap_node.(si)) (10., 1.)
+    in
+    let solve tr si ~r_drv:_ ~s_drv:_ = solve_lane tr si in
+    let solve_pair si ~r_drv:_ ~s_drv:_ =
+      if raises Ev.Rise si || raises Ev.Fall si then raise (Stub "pair");
+      (solve_lane Ev.Rise si, solve_lane Ev.Fall si)
+    in
+    let outcome =
+      match Ev.paired_pass ~solve ~solve_pair tree pool corner with
+      | [ r; f ] when r.Ev.transition = Ev.Rise && f.Ev.transition = Ev.Fall ->
+        "runs"
+      | _ -> "misordered runs"
+      | exception Stub who -> who
+    in
+    Alcotest.(check string) label expected outcome;
+    let lane tr =
+      List.filter_map (fun (t, si) -> if t = tr then Some si else None)
+        (List.rev !solved)
+    in
+    Alcotest.(check (list int)) (label ^ ": rise stages") rise_solved
+      (lane Ev.Rise);
+    Alcotest.(check (list int)) (label ^ ": fall stages") fall_solved
+      (lane Ev.Fall)
+  in
+  let all = List.init nstages Fun.id in
+  case "no failure" "runs" ~rise_solved:all ~fall_solved:all;
+  case "fall raises, rise completes" ~fall:1 "fall" ~rise_solved:all
+    ~fall_solved:[ 0 ];
+  case "fall raises on the last stage" ~fall:3 "fall" ~rise_solved:all
+    ~fall_solved:[ 0; 1; 2 ];
+  case "fall raises, then rise raises" ~fall:1 ~rise:2 "rise"
+    ~rise_solved:[ 0; 1 ] ~fall_solved:[ 0 ];
+  case "both raise on one stage" ~rise:1 ~fall:1 "rise" ~rise_solved:[ 0 ]
+    ~fall_solved:[ 0 ];
+  case "rise raises, fall would later" ~rise:1 ~fall:2 "rise"
+    ~rise_solved:[ 0 ] ~fall_solved:[ 0 ]
+
 let () =
   Alcotest.run "incremental"
     [
@@ -469,5 +617,16 @@ let () =
           Alcotest.test_case "flow counts ti:200" `Quick test_flow_counts_ti;
           Alcotest.test_case "parallel = sequential" `Quick
             test_paired_parallel_sequential;
+        ] );
+      ( "stateless",
+        [
+          Alcotest.test_case "evaluate = fresh session" `Quick
+            test_evaluate_matches_session;
+          Alcotest.test_case "screen in a pool job = main domain" `Quick
+            test_screen_in_job;
+          Alcotest.test_case "screen verdict = max worst slew" `Quick
+            test_screen_verdict_sweep;
+          Alcotest.test_case "paired failure order" `Quick
+            test_paired_failure_order;
         ] );
     ]
